@@ -10,7 +10,7 @@
 //! Wall-clock based and machine-dependent, so this figure is **not** in
 //! the `all` list and is never gated by `bench-gate`.
 
-use crate::harness::setup;
+use crate::harness::{setup, setup_uncached};
 use dc_json::Json;
 use dc_relational::batch::Batch;
 use dc_service::{QueryRequest, QueryService, ServiceConfig, ShardConfig};
@@ -217,7 +217,7 @@ impl ShardedScatterRow {
 pub fn sharded_scatter(scale: usize, seed: u64, shards_list: &[usize]) -> Vec<ShardedScatterRow> {
     let mut rows = Vec::new();
     for &shards in shards_list {
-        let env = setup(scale, 10.0, seed);
+        let env = setup_uncached(scale, 10.0, seed);
         let t_low = env.dataset.rtime_quantile(0.10);
         let t_high = env.dataset.rtime_quantile(0.90);
         let pool = [
@@ -300,7 +300,7 @@ pub fn shard_scaling(
 ) -> Vec<ShardScalingRow> {
     let mut rows = Vec::new();
     for &shards in shards_list {
-        let env = setup(scale, 10.0, seed);
+        let env = setup_uncached(scale, 10.0, seed);
         let pool = [
             "select epc, count(*) as n, max(rtime) as last_seen from caser group by epc"
                 .to_string(),

@@ -73,7 +73,7 @@ pub enum LogRecord {
     /// Root-manifest: the sharded service's fixed topology.
     Topology {
         shards: u32,
-        key: String,         // empty = unsharded / no partition key
+        key: String,         // empty = no partition key (partitions nothing)
         cache_capacity: u64, // 0 = cleanse cache disabled
     },
     /// Root-manifest: global epoch `global` maps to this per-shard

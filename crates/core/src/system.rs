@@ -9,7 +9,6 @@
 
 use dc_json::Json;
 use dc_relational::batch::Batch;
-use dc_relational::delta;
 use dc_relational::error::Result;
 use dc_relational::exec::{ExecStats, Executor};
 use dc_relational::explain::{logical_to_json, physical_to_json};
@@ -17,7 +16,6 @@ use dc_relational::physical::{display_physical, lower, ExecOptions, OperatorMetr
 use dc_relational::plan::LogicalPlan;
 use dc_relational::sql::{parse_query, plan_query, plan_sql};
 use dc_relational::table::{Catalog, CatalogRef};
-use dc_relational::value::Value;
 use dc_rewrite::{
     CacheStats, Candidate, CleanseCache, DecisionTrace, Executed, RewriteEngine, Rewritten,
     Strategy,
@@ -60,6 +58,35 @@ pub struct QueryReport {
 }
 
 impl QueryReport {
+    /// Split an executed rewrite into its rows and its report: the
+    /// decision trace of `rewritten` under `strategy`, the run's counters
+    /// and operator metrics, and the wall-clock time since `start`.
+    pub fn of_run(
+        rewritten: &Rewritten,
+        strategy: Strategy,
+        run: Executed,
+        start: Instant,
+        parallelism: usize,
+    ) -> (Batch, QueryReport) {
+        let trace = rewritten.decision_trace(strategy);
+        let report = QueryReport {
+            strategy: trace.strategy,
+            chosen: trace.chosen,
+            candidates: trace.candidates,
+            expanded_condition: trace.expanded_condition,
+            context_condition: trace.context_condition,
+            notes: trace.notes,
+            stats: run.stats,
+            elapsed: start.elapsed(),
+            plan: rewritten.plan.display_indent(),
+            result_rows: run.batch.num_rows(),
+            window_eval_nanos: run.window_eval_nanos,
+            parallelism,
+            metrics: run.metrics,
+        };
+        (run.batch, report)
+    }
+
     /// The rewrite decision trace of this run.
     pub fn decision_trace(&self) -> DecisionTrace {
         DecisionTrace {
@@ -216,30 +243,14 @@ impl DeferredCleansingSystem {
         self.cleanse_cache = Some(CleanseCache::for_shard(capacity, shard));
     }
 
+    /// Capacity of the cleansed-sequence cache, when enabled.
+    pub fn cleanse_cache_capacity(&self) -> Option<usize> {
+        self.cleanse_cache.as_ref().map(CleanseCache::capacity)
+    }
+
     /// Lifetime counters of the cleansed-sequence cache, when enabled.
     pub fn cleanse_cache_stats(&self) -> Option<CacheStats> {
         self.cleanse_cache.as_ref().map(CleanseCache::stats)
-    }
-
-    /// Execute a rewritten plan against `catalog` under `budget`, routing
-    /// through the cleansed-sequence cache when it is enabled and the
-    /// rewrite produced a cacheable join-back plan. The cache is shared
-    /// across catalog snapshots: entries are validated against the covering
-    /// segments of the *probing* snapshot's reads table, so a query running
-    /// against an older epoch can never be served rows cleansed from a
-    /// newer one (and vice versa).
-    fn run_rewritten_at(
-        &self,
-        catalog: &Catalog,
-        rewritten: &Rewritten,
-        budget: QueryBudget,
-    ) -> Result<Executed> {
-        match &self.cleanse_cache {
-            Some(cache) if rewritten.cache_spec.is_some() => {
-                rewritten.execute_cached_with_budget(catalog, self.exec_options, cache, budget)
-            }
-            _ => rewritten.execute_with_budget(catalog, self.exec_options, budget),
-        }
     }
 
     /// Set the number of worker threads for partition-parallel cleansing.
@@ -320,11 +331,9 @@ impl DeferredCleansingSystem {
 
     /// Run an application query against an explicit catalog snapshot —
     /// planning, rewriting, and executing all see `catalog`, not the
-    /// system's own. This is the service layer's entry point: the snapshot
-    /// is immutable for the duration of the call, so concurrent appends to
-    /// the live catalog never tear a running query. Rules, the rewrite
-    /// engine, and the cleansed-sequence cache are shared (all are
-    /// internally synchronized).
+    /// system's own, so concurrent appends to the live catalog never tear a
+    /// running query. Rules, the rewrite engine, and the cleansed-sequence
+    /// cache are shared (all are internally synchronized).
     pub fn query_snapshot(
         &self,
         catalog: &Catalog,
@@ -333,30 +342,8 @@ impl DeferredCleansingSystem {
         strategy: Strategy,
         budget: QueryBudget,
     ) -> Result<(Batch, QueryReport)> {
-        let start = Instant::now();
         let user_plan = plan_query(&parse_query(sql)?, catalog)?;
-        let rules = self.rules.rules_for(application);
-        let rewritten = self
-            .engine
-            .read()
-            .rewrite_plan(&user_plan, &rules, catalog, strategy)?;
-        let run = self.run_rewritten_at(catalog, &rewritten, budget)?;
-        let report = QueryReport {
-            strategy: format!("{strategy:?}"),
-            chosen: rewritten.chosen,
-            candidates: rewritten.candidates,
-            expanded_condition: rewritten.expanded_condition.map(|e| e.to_string()),
-            context_condition: rewritten.context_condition.map(|e| e.to_string()),
-            notes: rewritten.notes,
-            stats: run.stats,
-            elapsed: start.elapsed(),
-            plan: rewritten.plan.display_indent(),
-            result_rows: run.batch.num_rows(),
-            window_eval_nanos: run.window_eval_nanos,
-            parallelism: self.exec_options.parallelism,
-            metrics: run.metrics,
-        };
-        Ok((run.batch, report))
+        self.query_plan_snapshot(catalog, application, &user_plan, strategy, budget)
     }
 
     /// [`Self::query_snapshot`] starting from an already-built user plan
@@ -378,47 +365,15 @@ impl DeferredCleansingSystem {
             .engine
             .read()
             .rewrite_plan(user_plan, &rules, catalog, strategy)?;
-        let run = self.run_rewritten_at(catalog, &rewritten, budget)?;
-        let report = QueryReport {
-            strategy: format!("{strategy:?}"),
-            chosen: rewritten.chosen,
-            candidates: rewritten.candidates,
-            expanded_condition: rewritten.expanded_condition.map(|e| e.to_string()),
-            context_condition: rewritten.context_condition.map(|e| e.to_string()),
-            notes: rewritten.notes,
-            stats: run.stats,
-            elapsed: start.elapsed(),
-            plan: rewritten.plan.display_indent(),
-            result_rows: run.batch.num_rows(),
-            window_eval_nanos: run.window_eval_nanos,
-            parallelism: self.exec_options.parallelism,
-            metrics: run.metrics,
-        };
-        Ok((run.batch, report))
-    }
-
-    /// Re-cleanse-by-ckey entry point: run `sql` for `application` against
-    /// `catalog`, but with every scan of `table` restricted to rows whose
-    /// `column` value is in `keys`. Because cleansing rules partition
-    /// sequences by the cluster key, restricting the reads table to a key
-    /// set commutes with cleansing, so this computes exactly the slice of
-    /// the full answer owned by `keys` — the unit of work incremental
-    /// maintenance re-executes per append.
-    #[allow(clippy::too_many_arguments)]
-    pub fn query_snapshot_scoped(
-        &self,
-        catalog: &Catalog,
-        application: &str,
-        sql: &str,
-        table: &str,
-        column: &str,
-        keys: &[Value],
-        strategy: Strategy,
-        budget: QueryBudget,
-    ) -> Result<(Batch, QueryReport)> {
-        let user_plan = plan_query(&parse_query(sql)?, catalog)?;
-        let scoped = delta::scope_plan(&user_plan, table, column, keys);
-        self.query_plan_snapshot(catalog, application, &scoped, strategy, budget)
+        let run = self.execute_rewritten_snapshot(catalog, &rewritten, budget)?;
+        let parallelism = self.exec_options.parallelism;
+        Ok(QueryReport::of_run(
+            &rewritten,
+            strategy,
+            run,
+            start,
+            parallelism,
+        ))
     }
 
     /// Parse, plan, and rewrite an application query against an explicit
@@ -445,14 +400,23 @@ impl DeferredCleansingSystem {
     /// cleansed-sequence cache when enabled and the rewrite is cacheable.
     /// Pairs with [`Self::rewrite_snapshot`]: a shard executor runs the
     /// coordinator's rewritten plan against its own shard snapshot while
-    /// keeping its own shard-local cache.
+    /// keeping its own shard-local cache. The cache is shared across
+    /// catalog snapshots: entries are validated against the covering
+    /// segments of the *probing* snapshot's reads table, so a query running
+    /// against an older epoch can never be served rows cleansed from a
+    /// newer one (and vice versa).
     pub fn execute_rewritten_snapshot(
         &self,
         catalog: &Catalog,
         rewritten: &Rewritten,
         budget: QueryBudget,
     ) -> Result<Executed> {
-        self.run_rewritten_at(catalog, rewritten, budget)
+        match &self.cleanse_cache {
+            Some(cache) if rewritten.cache_spec.is_some() => {
+                rewritten.execute_cached_with_budget(catalog, self.exec_options, cache, budget)
+            }
+            _ => rewritten.execute_with_budget(catalog, self.exec_options, budget),
+        }
     }
 
     /// [`Self::execute_rewritten_snapshot`] with the cleansed-sequence
@@ -532,8 +496,8 @@ impl DeferredCleansingSystem {
     }
 
     /// [`Self::explain_report`] against an explicit catalog snapshot and
-    /// under a [`QueryBudget`] — the service layer's EXPLAIN ANALYZE entry
-    /// point (analyze-mode execution is budget-checked like a real query).
+    /// under a [`QueryBudget`] (analyze-mode execution is budget-checked
+    /// like a real query).
     pub fn explain_snapshot(
         &self,
         catalog: &Catalog,
@@ -543,33 +507,50 @@ impl DeferredCleansingSystem {
         analyze: bool,
         budget: QueryBudget,
     ) -> Result<ExplainReport> {
-        let user_plan = plan_query(&parse_query(sql)?, catalog)?;
-        let rules = self.rules.rules_for(application);
-        let rewritten = self
-            .engine
-            .read()
-            .rewrite_plan(&user_plan, &rules, catalog, strategy)?;
-        let trace = rewritten.decision_trace(strategy);
-        let physical = lower(&rewritten.plan, catalog)?;
-        let physical_text = display_physical(physical.as_ref());
-        let physical_json = physical_to_json(physical.as_ref());
-        let (metrics, result_rows, cache) = if analyze {
-            let cached = self.cleanse_cache.is_some() && rewritten.cache_spec.is_some();
-            let run = self.run_rewritten_at(catalog, &rewritten, budget)?;
-            let cache = cached.then_some(CacheActivity {
-                hits: run.stats.seq_cache_hits,
-                misses: run.stats.seq_cache_misses,
-                invalidations: run.stats.seq_cache_invalidations,
-            });
-            (run.metrics, Some(run.batch.num_rows()), cache)
+        let start = Instant::now();
+        let rewritten = self.rewrite_snapshot(catalog, application, sql, strategy)?;
+        let run = if analyze {
+            let run = self.execute_rewritten_snapshot(catalog, &rewritten, budget)?;
+            let parallelism = self.exec_options.parallelism;
+            Some(QueryReport::of_run(&rewritten, strategy, run, start, parallelism).1)
         } else {
-            (None, None, None)
+            None
+        };
+        self.explain_run(catalog, rewritten, strategy, run)
+    }
+
+    /// Assemble the EXPLAIN report of `rewritten`, lowered against
+    /// `catalog`. Given `run` — the report of executing it — this is
+    /// EXPLAIN ANALYZE: the trace is the run's, the physical tree is the
+    /// executed one with per-operator metrics, and a cacheable join-back
+    /// plan on a cache-enabled system reports the run's cache activity.
+    /// The query service renders its EXPLAIN ANALYZE through this after
+    /// executing across its shards.
+    pub fn explain_run(
+        &self,
+        catalog: &Catalog,
+        rewritten: Rewritten,
+        strategy: Strategy,
+        run: Option<QueryReport>,
+    ) -> Result<ExplainReport> {
+        let physical = lower(&rewritten.plan, catalog)?;
+        let cached = self.cleanse_cache.is_some() && rewritten.cache_spec.is_some();
+        let (trace, metrics, result_rows, cache) = match run {
+            Some(r) => {
+                let cache = cached.then_some(CacheActivity {
+                    hits: r.stats.seq_cache_hits,
+                    misses: r.stats.seq_cache_misses,
+                    invalidations: r.stats.seq_cache_invalidations,
+                });
+                (r.decision_trace(), r.metrics, Some(r.result_rows), cache)
+            }
+            None => (rewritten.decision_trace(strategy), None, None, None),
         };
         Ok(ExplainReport {
             trace,
             plan: rewritten.plan,
-            physical_text,
-            physical_json,
+            physical_text: display_physical(physical.as_ref()),
+            physical_json: physical_to_json(physical.as_ref()),
             metrics,
             result_rows,
             cache,

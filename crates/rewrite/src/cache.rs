@@ -146,6 +146,11 @@ impl CleanseCache {
         self.inner.lock().stats()
     }
 
+    /// Most sequences the cache holds.
+    pub fn capacity(&self) -> usize {
+        self.inner.lock().capacity()
+    }
+
     /// Number of cached sequences.
     pub fn len(&self) -> usize {
         self.inner.lock().len()

@@ -15,6 +15,13 @@
 //!   or partial rows;
 //! * admission is a bounded queue with **reject-on-full** backpressure
 //!   ([`ServiceError::Overloaded`]);
+//! * every service has N ≥ 1 **shards** and answers every query by
+//!   scatter-gather: [`QueryService::start`] serves the caller's system as
+//!   the one shard and partitions nothing, while
+//!   [`QueryService::start_sharded`] hash-partitions the catalog on the
+//!   rules' cluster key ([`HashPartitioner`]). Shards take their rules,
+//!   parallelism, and cleanse cache capacity from the system they start
+//!   from;
 //! * [`QueryService::subscribe`] registers a **standing query**: the caller
 //!   gets the full result once, then one [`ChangeSet`] per published epoch,
 //!   maintained incrementally by re-cleansing only the cluster keys each
@@ -65,9 +72,7 @@ pub use dc_core::{AbortReason, QueryBudget};
 pub use dc_log::{FailPoint, LogError};
 pub use dc_stream::{ChangeChannel, ChangeSet, MaintenanceStats, PushOutcome, StreamError};
 pub use durable::{DurableOptions, DurableStats, MANIFEST_LOG};
-pub use partition::{
-    partition_catalog, split_batch, HashPartitioner, Partitioner, RangePartitioner,
-};
+pub use partition::{partition_catalog, split_batch, HashPartitioner};
 pub use queue::{Bounded, PushError};
 pub use service::subscribe::{AppendOutcome, SubscribeOptions, SubscriptionHandle};
 pub use service::{

@@ -9,27 +9,16 @@
 //! tables) are **replicated** — every shard holds the same `Arc<Table>`,
 //! so replication costs one map entry, not a copy.
 //!
-//! The [`Partitioner`] decides which shard owns a key value. It must be a
-//! pure function of the value (the router applies it at initial partition
-//! time *and* on every routed append), but is otherwise pluggable:
-//! [`HashPartitioner`] for uniform spread, [`RangePartitioner`] for
-//! locality-preserving splits.
+//! [`HashPartitioner`] decides which shard owns a key value. It is a pure
+//! function of the value: the router applies it at initial partition time
+//! *and* on every routed append, and a recovered service re-applies it to
+//! the appends that follow recovery.
 
 use dc_relational::batch::Batch;
 use dc_relational::error::{Error, Result};
 use dc_relational::scatter::ShardingSpec;
 use dc_relational::table::{Catalog, Table};
 use dc_relational::value::Value;
-
-/// Maps a cluster-key value to the shard that owns it. Implementations
-/// must be deterministic: the same value always routes to the same shard.
-pub trait Partitioner: Send + Sync {
-    /// The owning shard for `key`, in `0..shards`.
-    fn shard_of(&self, key: &Value, shards: usize) -> usize;
-
-    /// Short label for diagnostics (`"hash"`, `"range"`).
-    fn name(&self) -> &'static str;
-}
 
 /// Canonical byte form of a value for hashing: a type tag followed by the
 /// value's natural encoding, so e.g. `Int(1)` and `Str("1")` never collide
@@ -62,8 +51,9 @@ fn canonical_bytes(v: &Value, out: &mut Vec<u8>) {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct HashPartitioner;
 
-impl Partitioner for HashPartitioner {
-    fn shard_of(&self, key: &Value, shards: usize) -> usize {
+impl HashPartitioner {
+    /// The owning shard for `key`, in `0..shards`.
+    pub fn shard_of(&self, key: &Value, shards: usize) -> usize {
         let mut buf = Vec::with_capacity(16);
         canonical_bytes(key, &mut buf);
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -73,55 +63,13 @@ impl Partitioner for HashPartitioner {
         }
         (h % shards.max(1) as u64) as usize
     }
-
-    fn name(&self) -> &'static str {
-        "hash"
-    }
-}
-
-/// Range partitioning over the key's total order (NULLs first, the same
-/// order sorts use): shard `i` owns keys strictly below `boundaries[i]`,
-/// the last shard owns the rest. `boundaries` must be sorted ascending and
-/// hold exactly `shards - 1` entries; extra boundaries are ignored and a
-/// short list funnels the tail into the last listed shard.
-#[derive(Debug, Clone)]
-pub struct RangePartitioner {
-    boundaries: Vec<Value>,
-}
-
-impl RangePartitioner {
-    /// A partitioner splitting at `boundaries` (ascending).
-    pub fn new(boundaries: Vec<Value>) -> Self {
-        RangePartitioner { boundaries }
-    }
-}
-
-impl Partitioner for RangePartitioner {
-    fn shard_of(&self, key: &Value, shards: usize) -> usize {
-        let last = shards.max(1) - 1;
-        for (i, b) in self.boundaries.iter().take(last).enumerate() {
-            if key.total_cmp(b) == std::cmp::Ordering::Less {
-                return i;
-            }
-        }
-        self.boundaries.len().min(last)
-    }
-
-    fn name(&self) -> &'static str {
-        "range"
-    }
 }
 
 /// Split `batch` into `shards` batches by routing each row on its key
-/// column. Row order is preserved within every output batch (routing is a
-/// stable partition of the input), so per-shard append order matches the
-/// order the rows arrived in.
-pub fn split_batch(
-    batch: &Batch,
-    key_idx: usize,
-    partitioner: &dyn Partitioner,
-    shards: usize,
-) -> Result<Vec<Batch>> {
+/// column with the [`HashPartitioner`]. Row order is preserved within
+/// every output batch (routing is a stable partition of the input), so
+/// per-shard append order matches the order the rows arrived in.
+pub fn split_batch(batch: &Batch, key_idx: usize, shards: usize) -> Result<Vec<Batch>> {
     if key_idx >= batch.num_columns() {
         return Err(Error::Execution(format!(
             "split_batch: key column index {key_idx} out of bounds for batch with {} columns",
@@ -131,7 +79,7 @@ pub fn split_batch(
     let key_col = batch.column(key_idx);
     let mut rows: Vec<Vec<Vec<Value>>> = vec![Vec::new(); shards.max(1)];
     for i in 0..batch.num_rows() {
-        let shard = partitioner.shard_of(&key_col.value(i), shards);
+        let shard = HashPartitioner.shard_of(&key_col.value(i), shards);
         rows[shard].push(batch.row(i));
     }
     rows.into_iter()
@@ -164,7 +112,7 @@ pub(crate) fn table_like(template: &Table, data: Batch) -> Result<Table> {
 }
 
 /// Partition `catalog` into `shards` shard catalogs per `spec`: tables in
-/// `spec.partitioned` are split row-wise on the key via `partitioner`
+/// `spec.partitioned` are split row-wise on the key by [`split_batch`]
 /// (order-preserving, with the source table's indexes and sequence order
 /// rebuilt per shard); every other table is replicated by sharing its
 /// `Arc<Table>`. The union of the shard catalogs is exactly the input
@@ -172,7 +120,6 @@ pub(crate) fn table_like(template: &Table, data: Batch) -> Result<Table> {
 pub fn partition_catalog(
     catalog: &Catalog,
     spec: &ShardingSpec,
-    partitioner: &dyn Partitioner,
     shards: usize,
 ) -> Result<Vec<Catalog>> {
     let out: Vec<Catalog> = (0..shards.max(1)).map(|_| Catalog::new()).collect();
@@ -180,7 +127,7 @@ pub fn partition_catalog(
         let table = catalog.get(&name)?;
         if spec.partitioned.contains(&name) {
             let key_idx = table.schema().index_of_name(&spec.key)?;
-            let parts = split_batch(table.data(), key_idx, partitioner, out.len())?;
+            let parts = split_batch(table.data(), key_idx, out.len())?;
             for (cat, part) in out.iter().zip(parts) {
                 cat.register(table_like(&table, part)?);
             }
@@ -226,23 +173,9 @@ mod tests {
     }
 
     #[test]
-    fn range_partitioner_respects_boundaries() {
-        let p = RangePartitioner::new(vec![Value::Int(10), Value::Int(20)]);
-        assert_eq!(p.shard_of(&Value::Int(-5), 3), 0);
-        assert_eq!(p.shard_of(&Value::Int(10), 3), 1);
-        assert_eq!(p.shard_of(&Value::Int(19), 3), 1);
-        assert_eq!(p.shard_of(&Value::Int(20), 3), 2);
-        assert_eq!(p.shard_of(&Value::Int(1000), 3), 2);
-        // NULLs sort first: they land in shard 0.
-        assert_eq!(p.shard_of(&Value::Null, 3), 0);
-        // More shards than boundaries: the tail stops at the last boundary.
-        assert_eq!(p.shard_of(&Value::Int(1000), 5), 2);
-    }
-
-    #[test]
     fn split_batch_preserves_order_and_loses_nothing() {
         let batch = reads(50);
-        let parts = split_batch(&batch, 0, &HashPartitioner, 3).unwrap();
+        let parts = split_batch(&batch, 0, 3).unwrap();
         assert_eq!(parts.len(), 3);
         let total: usize = parts.iter().map(Batch::num_rows).sum();
         assert_eq!(total, 50);
@@ -258,7 +191,7 @@ mod tests {
 
     #[test]
     fn split_batch_rejects_bad_key_index() {
-        let err = split_batch(&reads(3), 9, &HashPartitioner, 2).unwrap_err();
+        let err = split_batch(&reads(3), 9, 2).unwrap_err();
         assert!(err.to_string().contains("key column index 9"));
     }
 
@@ -278,7 +211,7 @@ mod tests {
             key: "epc".into(),
             partitioned: BTreeSet::from(["caser".to_string()]),
         };
-        let shards = partition_catalog(&catalog, &spec, &HashPartitioner, 4).unwrap();
+        let shards = partition_catalog(&catalog, &spec, 4).unwrap();
         assert_eq!(shards.len(), 4);
         let total: usize = shards
             .iter()

@@ -1,6 +1,5 @@
 //! The query service: N workers over immutable snapshots, one ingest path,
-//! and — when sharded — a scatter-gather coordinator over per-shard
-//! catalogs.
+//! and a scatter-gather coordinator over one or more per-shard catalogs.
 //!
 //! Life of a query:
 //!
@@ -18,16 +17,19 @@
 //! Ingest ([`QueryService::append`]) serializes on its own lock, builds the
 //! next catalog overlay *outside* the publication cell, appends into it, and
 //! publishes with a pointer swap. In-flight queries keep their epochs; the
-//! next dispatch sees the new ones. In a sharded service the append batch is
+//! next dispatch sees the new ones. Appends to a partitioned table are
 //! first split on the cluster key, and only the shards that received rows
 //! publish a new epoch.
 //!
 //! ## Scatter-gather
 //!
-//! [`QueryService::start_sharded`] partitions the catalog on the rules'
-//! cluster key ([`crate::partition`]): since a cleansing rule only relates
-//! readings within one cluster sequence, every shard cleanses its clusters
-//! exactly as an unsharded system would. A query is then:
+//! Every service has N ≥ 1 shards. [`QueryService::start_sharded`]
+//! partitions the catalog on the rules' cluster key ([`crate::partition`]):
+//! since a cleansing rule only relates readings within one cluster
+//! sequence, every shard cleanses its clusters exactly as an unsharded
+//! system would. [`QueryService::start`] is the smallest case: one shard,
+//! the caller's own system, routed on the empty key, which partitions
+//! nothing. A query is then:
 //!
 //! * **rewritten once** at the coordinator against shard 0's snapshot (all
 //!   shard catalogs share one schema, so the plan is valid everywhere),
@@ -39,9 +41,10 @@
 //! * **gathered** at the coordinator: sorted-stream k-way merge for
 //!   ORDER BY, additive re-aggregation for partials, a final LIMIT cut.
 //!
-//! Plans touching no partitioned table run on shard 0 alone (every shard
-//! replicates dimension tables); plans with no sound decomposition fall
-//! back to executing at the coordinator over a merged view of the shards.
+//! Plans touching no partitioned table — every plan of a service started
+//! unsharded — run on shard 0 alone (every shard replicates dimension
+//! tables); plans with no sound decomposition fall back to executing at
+//! the coordinator over a merged view of the shards.
 //! A shard executor lost mid-query surfaces as the typed
 //! [`ServiceError::ShardUnavailable`], never a hang or a panic.
 //!
@@ -55,19 +58,18 @@
 
 use self::subscribe::{distinct_keys, AppendOutcome, SubEntry};
 use crate::durable::{
-    log_err, split_as_of, DurableOptions, DurableState, DurableStats, StagedAppend,
+    log_err, split_as_of, DurableOptions, DurableState, DurableStats, Recovered, StagedAppend,
 };
-use crate::partition::{partition_catalog, split_batch, table_like, HashPartitioner, Partitioner};
+use crate::partition::{partition_catalog, split_batch, table_like};
 use crate::queue::{Bounded, PushError};
 use crate::snapshot::{EpochVector, Snapshot, SnapshotCell};
 use dc_core::{AbortReason, DeferredCleansingSystem, QueryBudget, QueryReport, Strategy};
 use dc_relational::batch::Batch;
 use dc_relational::error::Error;
 use dc_relational::exec::{ExecStats, Executor};
-use dc_relational::physical::OperatorMetrics;
 use dc_relational::plan::LogicalPlan;
 use dc_relational::scatter::{gather, sharding_spec_for, split_scatter, ScatterPlan, ShardingSpec};
-use dc_relational::table::Catalog;
+use dc_relational::table::{Catalog, CatalogRef};
 use dc_rewrite::{Executed, Rewritten};
 use std::collections::HashMap;
 use std::fmt;
@@ -104,9 +106,10 @@ impl Default for ServiceConfig {
     }
 }
 
-/// How to shard a service: shard count, the cluster-key column that
-/// partitions every key-bearing table, and whether each shard keeps a
-/// (shard-salted) cleansed-sequence cache.
+/// How to shard a service: shard count and the cluster-key column that
+/// partitions every key-bearing table. Everything else a shard runs with —
+/// rules, parallelism, cleansed-sequence cache capacity — comes from the
+/// system being sharded.
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
     /// Number of shards (minimum 1).
@@ -115,26 +118,15 @@ pub struct ShardConfig {
     /// Tables carrying this column are partitioned; all others are
     /// replicated to every shard.
     pub key: String,
-    /// When set, every shard runs its own cleansed-sequence cache of this
-    /// capacity, salted with the shard id so entries never alias across
-    /// shards (shards number their own segments independently from 0).
-    pub cleanse_cache_capacity: Option<usize>,
 }
 
 impl ShardConfig {
-    /// Shard on `key` across `shards` shards, no per-shard cache.
+    /// Shard on `key` across `shards` shards.
     pub fn new(shards: usize, key: impl Into<String>) -> Self {
         ShardConfig {
             shards,
             key: key.into(),
-            cleanse_cache_capacity: None,
         }
-    }
-
-    /// Give every shard a cleansed-sequence cache of `capacity` entries.
-    pub fn with_cleanse_cache(mut self, capacity: usize) -> Self {
-        self.cleanse_cache_capacity = Some(capacity);
-        self
     }
 }
 
@@ -478,16 +470,39 @@ enum Role {
 }
 
 /// One shard: its own deferred-cleansing system (shard-local catalog,
-/// rules copy, shard-salted cleanse cache) and snapshot publication cell.
+/// rules, cleanse cache) and snapshot publication cell.
 struct ShardState {
     system: DeferredCleansingSystem,
     snapshots: SnapshotCell,
 }
 
-/// The ingest router of a sharded service.
+/// The ingest router: appends to a partitioned table are split on the
+/// shard key; every other table is replicated to all shards. A service
+/// started unsharded routes on the empty key, which partitions nothing.
 struct Router {
     spec: ShardingSpec,
-    partitioner: Arc<dyn Partitioner>,
+}
+
+impl Router {
+    /// Each shard's part of an append of `batch` to `table` (lowercased):
+    /// the non-empty key splits of a partitioned table, else the whole
+    /// batch for every shard.
+    fn route(
+        &self,
+        table: &str,
+        batch: Batch,
+        shards: usize,
+    ) -> Result<Vec<(usize, Batch)>, Error> {
+        if !self.spec.partitioned.contains(table) {
+            return Ok((0..shards).map(|i| (i, batch.clone())).collect());
+        }
+        let key_idx = batch.schema().index_of_name(&self.spec.key)?;
+        Ok(split_batch(&batch, key_idx, shards)?
+            .into_iter()
+            .enumerate()
+            .filter(|(_, part)| part.num_rows() > 0)
+            .collect())
+    }
 }
 
 /// What one query execution looked like, shard by shard.
@@ -499,20 +514,35 @@ struct ShardObservation {
     segments_pruned: u64,
 }
 
+impl ShardObservation {
+    /// Shard `shard`'s part of a run, executed against `snap`.
+    fn of(shard: usize, snap: &Snapshot, run: &Executed) -> Self {
+        ShardObservation {
+            shard,
+            epoch: snap.epoch,
+            rows: run.batch.num_rows() as u64,
+            segments_scanned: run.stats.segments_scanned,
+            segments_pruned: run.stats.segments_pruned,
+        }
+    }
+}
+
 /// A finished run with enough detail for both the reply path and
-/// EXPLAIN ANALYZE's `-- shards:` rendering.
+/// EXPLAIN ANALYZE.
 struct RunDetail {
     batch: Batch,
     report: QueryReport,
+    /// The coordinator's rewrite the run executed.
+    rewritten: Rewritten,
     per_shard: Vec<ShardObservation>,
-    /// `"local"` (unsharded), `"single-shard"`, `"scatter"`, or
-    /// `"coordinator"` (unshardable fallback).
+    /// `"single-shard"`, `"scatter"`, or `"coordinator"` (unshardable
+    /// fallback).
     mode: &'static str,
 }
 
 struct Shared {
     shards: Vec<ShardState>,
-    router: Option<Router>,
+    router: Router,
     /// WAL + epoch history when the service is durable; `None` for a
     /// purely in-memory service.
     durable: Option<DurableState>,
@@ -622,7 +652,8 @@ impl Shared {
     }
 
     /// The rewrite + execute pipeline for one query against the loaded
-    /// snapshots, via the legacy local path or scatter-gather.
+    /// snapshots: rewrite once at the coordinator, decompose, fan out,
+    /// merge.
     fn run_detail(
         &self,
         snaps: &[Arc<Snapshot>],
@@ -631,67 +662,23 @@ impl Shared {
         strategy: Strategy,
         budget: QueryBudget,
     ) -> Result<RunDetail, ServiceError> {
-        match &self.router {
-            None => {
-                let (batch, report) = self.shards[0].system.query_snapshot(
-                    &snaps[0].catalog,
-                    application,
-                    sql,
-                    strategy,
-                    budget,
-                )?;
-                Ok(RunDetail {
-                    batch,
-                    report,
-                    per_shard: Vec::new(),
-                    mode: "local",
-                })
-            }
-            Some(router) => self.run_scatter(router, snaps, application, sql, strategy, budget),
-        }
-    }
-
-    /// Scatter-gather execution: rewrite once at the coordinator, decompose,
-    /// fan out, merge.
-    fn run_scatter(
-        &self,
-        router: &Router,
-        snaps: &[Arc<Snapshot>],
-        application: &str,
-        sql: &str,
-        strategy: Strategy,
-        budget: QueryBudget,
-    ) -> Result<RunDetail, ServiceError> {
         let start = Instant::now();
         let coord = self.coordinator();
+        let parallelism = coord.exec_options().parallelism;
         let rewritten = coord.rewrite_snapshot(&snaps[0].catalog, application, sql, strategy)?;
-        match split_scatter(&rewritten.plan, &router.spec) {
+        match split_scatter(&rewritten.plan, &self.router.spec) {
             ScatterPlan::SingleShard => {
                 // Replicated inputs only: shard 0 holds the full answer.
                 let run =
                     coord.execute_rewritten_snapshot(&snaps[0].catalog, &rewritten, budget)?;
-                let per = vec![ShardObservation {
-                    shard: 0,
-                    epoch: snaps[0].epoch,
-                    rows: run.batch.num_rows() as u64,
-                    segments_scanned: run.stats.segments_scanned,
-                    segments_pruned: run.stats.segments_pruned,
-                }];
-                let report = scatter_report(
-                    &rewritten,
-                    strategy,
-                    run.stats,
-                    run.window_eval_nanos,
-                    run.metrics,
-                    run.batch.num_rows(),
-                    start,
-                    coord.exec_options().parallelism,
-                    vec!["scatter: replicated-only plan, answered by shard 0".into()],
-                );
+                let per_shard = vec![ShardObservation::of(0, &snaps[0], &run)];
+                let (batch, report) =
+                    QueryReport::of_run(&rewritten, strategy, run, start, parallelism);
                 Ok(RunDetail {
-                    batch: run.batch,
+                    batch,
                     report,
-                    per_shard: per,
+                    rewritten,
+                    per_shard,
                     mode: "single-shard",
                 })
             }
@@ -702,6 +689,11 @@ impl Shared {
             } => {
                 let parts =
                     self.execute_on_shards(&rewritten, &shard_plan, reuses_plan, snaps, &budget)?;
+                let per_shard = parts
+                    .iter()
+                    .enumerate()
+                    .map(|(i, e)| ShardObservation::of(i, &snaps[i], e))
+                    .collect();
                 let shard_batches: Vec<Batch> = parts.iter().map(|e| e.batch.clone()).collect();
                 let (batch, outcome) =
                     gather(&shard_batches, &steps).map_err(ServiceError::from)?;
@@ -715,42 +707,29 @@ impl Shared {
                 stats.sort_comparisons += outcome.sort_comparisons;
                 stats.merge_runs_used += outcome.merge_runs_used;
                 stats.add_hash(&outcome.hash);
-                let metrics = combine_metrics(&parts);
-                let per = parts
-                    .iter()
-                    .enumerate()
-                    .map(|(i, e)| ShardObservation {
-                        shard: i,
-                        epoch: snaps[i].epoch,
-                        rows: e.batch.num_rows() as u64,
-                        segments_scanned: e.stats.segments_scanned,
-                        segments_pruned: e.stats.segments_pruned,
-                    })
-                    .collect();
-                let report = scatter_report(
-                    &rewritten,
-                    strategy,
+                let run = Executed {
+                    batch,
                     stats,
                     window_eval_nanos,
-                    metrics,
-                    batch.num_rows(),
-                    start,
-                    coord.exec_options().parallelism,
-                    vec![format!(
-                        "scatter: {} shards, {} gather step(s){}",
-                        self.shards.len(),
-                        steps.len(),
-                        if reuses_plan {
-                            ", cached shard path"
-                        } else {
-                            ""
-                        }
-                    )],
-                );
+                    metrics: combine_metrics(&parts),
+                };
+                let (batch, mut report) =
+                    QueryReport::of_run(&rewritten, strategy, run, start, parallelism);
+                report.notes.push(format!(
+                    "scatter: {} shards, {} gather step(s){}",
+                    self.shards.len(),
+                    steps.len(),
+                    if reuses_plan {
+                        ", cached shard path"
+                    } else {
+                        ""
+                    }
+                ));
                 Ok(RunDetail {
                     batch,
                     report,
-                    per_shard: per,
+                    rewritten,
+                    per_shard,
                     mode: "scatter",
                 })
             }
@@ -759,10 +738,10 @@ impl Shared {
                 // a coordinator-side view and execute there, bypassing the
                 // shard caches (the merged tables are transient, so their
                 // segment ids must never validate cached entries).
-                let merged = merged_catalog(router, snaps).map_err(ServiceError::from)?;
+                let merged = merged_catalog(&self.router, snaps).map_err(ServiceError::from)?;
                 let rewritten = coord.rewrite_snapshot(&merged, application, sql, strategy)?;
                 let run = coord.execute_rewritten_snapshot_uncached(&merged, &rewritten, budget)?;
-                let per = snaps
+                let per_shard = snaps
                     .iter()
                     .enumerate()
                     .map(|(i, s)| ShardObservation {
@@ -773,25 +752,16 @@ impl Shared {
                         segments_pruned: 0,
                     })
                     .collect();
-                let rows = run.batch.num_rows();
-                let report = scatter_report(
-                    &rewritten,
-                    strategy,
-                    run.stats,
-                    run.window_eval_nanos,
-                    run.metrics,
-                    rows,
-                    start,
-                    coord.exec_options().parallelism,
-                    vec![
-                        "scatter: unshardable plan, executed at coordinator over merged shards"
-                            .into(),
-                    ],
+                let (batch, mut report) =
+                    QueryReport::of_run(&rewritten, strategy, run, start, parallelism);
+                report.notes.push(
+                    "scatter: unshardable plan, executed at coordinator over merged shards".into(),
                 );
                 Ok(RunDetail {
-                    batch: run.batch,
+                    batch,
                     report,
-                    per_shard: per,
+                    rewritten,
+                    per_shard,
                     mode: "coordinator",
                 })
             }
@@ -859,42 +829,10 @@ impl Shared {
     }
 }
 
-/// Build the coordinator's [`QueryReport`] for a scatter-gather run.
-#[allow(clippy::too_many_arguments)]
-fn scatter_report(
-    rewritten: &Rewritten,
-    strategy: Strategy,
-    stats: ExecStats,
-    window_eval_nanos: u64,
-    metrics: Option<OperatorMetrics>,
-    result_rows: usize,
-    start: Instant,
-    parallelism: usize,
-    extra_notes: Vec<String>,
-) -> QueryReport {
-    let mut notes = rewritten.notes.clone();
-    notes.extend(extra_notes);
-    QueryReport {
-        strategy: format!("{strategy:?}"),
-        chosen: rewritten.chosen.clone(),
-        candidates: rewritten.candidates.clone(),
-        expanded_condition: rewritten.expanded_condition.as_ref().map(|e| e.to_string()),
-        context_condition: rewritten.context_condition.as_ref().map(|e| e.to_string()),
-        notes,
-        stats,
-        elapsed: start.elapsed(),
-        plan: rewritten.plan.display_indent(),
-        result_rows,
-        window_eval_nanos,
-        parallelism,
-        metrics,
-    }
-}
-
 /// Merge per-shard metrics trees into one combined view when every shard
 /// executed the same operator shape; `None` otherwise (per-shard trees are
 /// not comparable, so no tree beats a wrong tree).
-fn combine_metrics(parts: &[Executed]) -> Option<OperatorMetrics> {
+fn combine_metrics(parts: &[Executed]) -> Option<dc_relational::physical::OperatorMetrics> {
     let mut iter = parts.iter();
     let mut combined = iter.next()?.metrics.clone()?;
     for e in iter {
@@ -927,9 +865,10 @@ fn merged_catalog(router: &Router, snaps: &[Arc<Snapshot>]) -> Result<Catalog, E
 ///
 /// Readers (the worker pool) answer rewritten queries against immutable
 /// epoch-stamped snapshots; a single ingest path appends and publishes new
-/// epochs without ever blocking a reader on append work. Sharded services
-/// ([`QueryService::start_sharded`]) scatter each query over per-shard
-/// catalogs and gather the partials at the coordinator. Dropping the
+/// epochs without ever blocking a reader on append work. Each query is
+/// scattered over the shard catalogs and its partials gathered at the
+/// coordinator (one shard unless started with
+/// [`QueryService::start_sharded`]). Dropping the
 /// service closes the queue, drains queued jobs, and joins the workers.
 pub struct QueryService {
     shared: Arc<Shared>,
@@ -937,16 +876,45 @@ pub struct QueryService {
     workers: Vec<JoinHandle<()>>,
 }
 
+/// Where a new service's shards come from.
+enum Origin {
+    /// The caller's system is the only shard, serving its own catalog.
+    Whole(DeferredCleansingSystem),
+    /// The caller's catalog, partitioned on the shard key.
+    Partitioned(DeferredCleansingSystem, ShardConfig),
+    /// A replayed durable root.
+    Recovered(Recovered),
+}
+
+/// A shard's own system over `catalog`: the rules in `rules_json`,
+/// `parallelism` cleansing threads, and a shard-salted cleanse cache of
+/// `cache` entries when set.
+fn build_shard_system(
+    catalog: CatalogRef,
+    shard: usize,
+    rules_json: Option<&str>,
+    parallelism: usize,
+    cache: Option<usize>,
+) -> Result<DeferredCleansingSystem, Error> {
+    let mut sys = DeferredCleansingSystem::with_catalog(catalog);
+    sys.set_parallelism(parallelism);
+    if let Some(json) = rules_json {
+        sys.load_rules_from_json(json)?;
+    }
+    if let Some(capacity) = cache {
+        sys.enable_cleanse_cache_for_shard(capacity, shard as u64);
+    }
+    Ok(sys)
+}
+
 impl QueryService {
     /// Take ownership of `system`, freeze its current catalog as epoch 0,
-    /// and start the worker pool (unsharded: one shard, no router).
+    /// and start the worker pool. The service has one shard — `system`
+    /// itself, serving its own catalog without a copy — and partitions
+    /// nothing.
     pub fn start(system: DeferredCleansingSystem, config: ServiceConfig) -> Self {
-        let epoch0 = Arc::new(system.catalog().overlay());
-        let shard = ShardState {
-            system,
-            snapshots: SnapshotCell::new(epoch0),
-        };
-        Self::start_inner(vec![shard], None, config, None)
+        Self::launch(Origin::Whole(system), config, None)
+            .expect("an in-memory one-shard start has no fallible step")
     }
 
     /// [`QueryService::start`] with a durable commit log under
@@ -960,46 +928,22 @@ impl QueryService {
         config: ServiceConfig,
         opts: DurableOptions,
     ) -> Result<Self, Error> {
-        let rules_json = system.rules_to_json();
-        let state = DurableState::bootstrap(&opts, &[system.catalog()], "", 0, &rules_json)
-            .map_err(log_err)?;
-        let epoch0 = Arc::new(system.catalog().overlay());
-        let shard = ShardState {
-            system,
-            snapshots: SnapshotCell::new(epoch0),
-        };
-        Ok(Self::start_inner(vec![shard], None, config, Some(state)))
+        Self::launch(Origin::Whole(system), config, Some(&opts))
     }
 
-    /// [`QueryService::start`] with default sizing.
-    pub fn with_defaults(system: DeferredCleansingSystem) -> Self {
-        Self::start(system, ServiceConfig::default())
-    }
-
-    /// Partition `system`'s catalog on `shard.key` with the default
-    /// [`HashPartitioner`] and start a scatter-gather service. Each shard
-    /// gets its own system (shard catalog, copy of the rules, optional
-    /// shard-salted cleanse cache), ingest epoch history, and snapshot
-    /// cell. Results are byte-identical (up to row order, exact under
-    /// ORDER BY) to an unsharded service at the same epochs.
+    /// Partition `system`'s catalog on `shard.key` with the
+    /// [`crate::partition::HashPartitioner`] and start a scatter-gather
+    /// service. Each shard gets its own system (shard catalog, the rules,
+    /// the source system's parallelism and a shard-salted cleanse cache of
+    /// its capacity), ingest epoch history, and snapshot cell. Results are byte-identical
+    /// (up to row order, exact under ORDER BY) to an unsharded service at
+    /// the same epochs.
     pub fn start_sharded(
         system: DeferredCleansingSystem,
         config: ServiceConfig,
         shard: ShardConfig,
     ) -> Result<Self, Error> {
-        Self::start_sharded_with(system, config, shard, Arc::new(HashPartitioner))
-    }
-
-    /// [`QueryService::start_sharded`] with a custom [`Partitioner`]
-    /// (e.g. [`crate::partition::RangePartitioner`]).
-    pub fn start_sharded_with(
-        system: DeferredCleansingSystem,
-        config: ServiceConfig,
-        shard: ShardConfig,
-        partitioner: Arc<dyn Partitioner>,
-    ) -> Result<Self, Error> {
-        let (shards, router) = Self::build_shards(system, shard, partitioner)?;
-        Ok(Self::start_inner(shards, Some(router), config, None))
+        Self::launch(Origin::Partitioned(system, shard), config, None)
     }
 
     /// [`QueryService::start_sharded`] with a durable root: the manifest
@@ -1013,95 +957,91 @@ impl QueryService {
         shard: ShardConfig,
         opts: DurableOptions,
     ) -> Result<Self, Error> {
-        let cache_capacity = shard.cleanse_cache_capacity.unwrap_or(0) as u64;
-        let key = shard.key.clone();
-        let rules_json = system.rules_to_json();
-        let (shards, router) = Self::build_shards(system, shard, Arc::new(HashPartitioner))?;
-        let catalogs: Vec<&Catalog> = shards.iter().map(|s| s.system.catalog()).collect();
-        let state = DurableState::bootstrap(&opts, &catalogs, &key, cache_capacity, &rules_json)
-            .map_err(log_err)?;
-        Ok(Self::start_inner(shards, Some(router), config, Some(state)))
+        Self::launch(Origin::Partitioned(system, shard), config, Some(&opts))
     }
 
     /// Reopen a durable root written by [`QueryService::start_durable`] /
     /// [`QueryService::start_sharded_durable`]: replay the manifest and
     /// every shard log, roll back to the newest globally committed epoch,
     /// compact away crash debris, and resume serving (and appending) right
-    /// where the durable history ends. The entire history remains
-    /// addressable through `AS OF epoch E`.
+    /// where the durable history ends, with the recorded topology and
+    /// cleanse cache capacity. The entire history remains addressable
+    /// through `AS OF epoch E`.
     pub fn recover(opts: DurableOptions, config: ServiceConfig) -> Result<Self, Error> {
         let rec = crate::durable::recover_state(&opts).map_err(log_err)?;
-        let sharded = !rec.key.is_empty();
-        let mut shards = Vec::with_capacity(rec.catalogs.len());
-        for (i, catalog) in rec.catalogs.iter().enumerate() {
-            let mut sys = DeferredCleansingSystem::with_catalog(Arc::clone(catalog));
-            if let Some((_, json)) = &rec.rules {
-                sys.load_rules_from_json(json)?;
-            }
-            if rec.cache_capacity > 0 {
-                sys.enable_cleanse_cache_for_shard(rec.cache_capacity as usize, i as u64);
-            }
-            let frozen = Arc::new(sys.catalog().overlay());
-            shards.push(ShardState {
-                system: sys,
-                snapshots: SnapshotCell::at_epoch(frozen, rec.shard_epochs[i]),
-            });
-        }
-        let router = if sharded {
-            let spec = sharding_spec_for(shards[0].system.catalog(), &rec.key);
-            Some(Router {
-                spec,
-                partitioner: Arc::new(HashPartitioner) as Arc<dyn Partitioner>,
-            })
-        } else {
-            None
-        };
         let rules_version = rec.rules.as_ref().map_or(0, |(v, _)| *v);
-        let svc = Self::start_inner(shards, router, config, Some(rec.state));
+        let svc = Self::launch(Origin::Recovered(rec), config, None)?;
         svc.shared
             .rules_version
             .store(rules_version, Ordering::Relaxed);
         Ok(svc)
     }
 
-    /// Partition `system` into shard states plus the ingest router (shared
-    /// by the in-memory and durable sharded constructors).
-    fn build_shards(
-        system: DeferredCleansingSystem,
-        shard: ShardConfig,
-        partitioner: Arc<dyn Partitioner>,
-    ) -> Result<(Vec<ShardState>, Router), Error> {
-        let n = shard.shards.max(1);
-        let spec = sharding_spec_for(system.catalog(), &shard.key);
-        let catalogs = partition_catalog(system.catalog(), &spec, partitioner.as_ref(), n)?;
-        let rules_json = system.rules_to_json();
-        let parallelism = system.exec_options().parallelism;
-        let shards = catalogs
-            .into_iter()
-            .enumerate()
-            .map(|(i, cat)| {
-                let mut sys = DeferredCleansingSystem::with_catalog(Arc::new(cat));
-                sys.set_parallelism(parallelism);
-                sys.load_rules_from_json(&rules_json)?;
-                if let Some(cap) = shard.cleanse_cache_capacity {
-                    sys.enable_cleanse_cache_for_shard(cap, i as u64);
-                }
-                let epoch0 = Arc::new(sys.catalog().overlay());
-                Ok(ShardState {
-                    system: sys,
-                    snapshots: SnapshotCell::new(epoch0),
-                })
-            })
-            .collect::<Result<Vec<_>, Error>>()?;
-        Ok((shards, Router { spec, partitioner }))
-    }
-
-    fn start_inner(
-        shards: Vec<ShardState>,
-        router: Option<Router>,
+    /// Build the shard states of `origin`, bootstrap `durable` (unless the
+    /// origin is a recovered root, which brings its own durable state),
+    /// and start the worker pool.
+    fn launch(
+        origin: Origin,
         config: ServiceConfig,
-        durable: Option<DurableState>,
-    ) -> Self {
+        durable: Option<&DurableOptions>,
+    ) -> Result<Self, Error> {
+        let (systems, key, epochs, recovered) = match origin {
+            Origin::Whole(system) => (vec![system], String::new(), vec![0], None),
+            Origin::Partitioned(system, shard) => {
+                let spec = sharding_spec_for(system.catalog(), &shard.key);
+                let catalogs = partition_catalog(system.catalog(), &spec, shard.shards.max(1))?;
+                let rules = system.rules_to_json();
+                let parallelism = system.exec_options().parallelism;
+                let cache = system.cleanse_cache_capacity();
+                let systems = catalogs
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, c)| {
+                        build_shard_system(Arc::new(c), i, Some(&rules), parallelism, cache)
+                    })
+                    .collect::<Result<Vec<_>, Error>>()?;
+                let epochs = vec![0; systems.len()];
+                (systems, shard.key, epochs, None)
+            }
+            Origin::Recovered(rec) => {
+                let rules = rec.rules.as_ref().map(|(_, json)| json.as_str());
+                let cache = (rec.cache_capacity > 0).then_some(rec.cache_capacity as usize);
+                // Parallelism is not part of the durable record: recovered
+                // shards cleanse serially.
+                let systems = rec
+                    .catalogs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, c)| build_shard_system(Arc::clone(c), i, rules, 1, cache))
+                    .collect::<Result<Vec<_>, Error>>()?;
+                (systems, rec.key, rec.shard_epochs, Some(rec.state))
+            }
+        };
+        let durable = match (recovered, durable) {
+            (Some(state), _) => Some(state),
+            (None, Some(opts)) => {
+                let catalogs: Vec<&Catalog> = systems.iter().map(|s| s.catalog()).collect();
+                let cache = systems[0].cleanse_cache_capacity().unwrap_or(0) as u64;
+                let rules = systems[0].rules_to_json();
+                let state = DurableState::bootstrap(opts, &catalogs, &key, cache, &rules);
+                Some(state.map_err(log_err)?)
+            }
+            (None, None) => None,
+        };
+        let router = Router {
+            spec: sharding_spec_for(systems[0].catalog(), &key),
+        };
+        let shards = systems
+            .into_iter()
+            .zip(epochs)
+            .map(|(system, epoch)| {
+                let frozen = Arc::new(system.catalog().overlay());
+                ShardState {
+                    system,
+                    snapshots: SnapshotCell::at_epoch(frozen, epoch),
+                }
+            })
+            .collect();
         let shared = Arc::new(Shared {
             shards,
             router,
@@ -1135,11 +1075,11 @@ impl QueryService {
                     .expect("spawn service worker")
             })
             .collect();
-        QueryService {
+        Ok(QueryService {
             shared,
             ingest: Mutex::new(()),
             workers,
-        }
+        })
     }
 
     /// Submit a query for asynchronous execution. Rejects immediately when
@@ -1178,11 +1118,11 @@ impl QueryService {
     /// extension, cleanse cache invalidation) happens on private overlays
     /// outside the publication cells — readers never wait on it.
     ///
-    /// Sharded services route the rows on the cluster key first: only the
-    /// shards that received rows publish a new epoch (appends to a
-    /// replicated table publish on every shard). Returns an
+    /// Appends to a partitioned table route the rows on the cluster key
+    /// first: only the shards that received rows publish a new epoch
+    /// (appends to a replicated table publish on every shard). Returns an
     /// [`AppendOutcome`]: the last snapshot published by this call (shard
-    /// 0's current snapshot if the batch was empty), the epoch vector it
+    /// 0's current snapshot if no shard published), the epoch vector it
     /// advanced to, and the cluster keys and shards the batch touched —
     /// computed once here so standing-query maintenance never rescans the
     /// batch.
@@ -1225,28 +1165,9 @@ impl QueryService {
             });
             Ok(())
         };
-        match &self.shared.router {
-            Some(router) if router.spec.partitioned.contains(&lowered) => {
-                let key_idx = batch.schema().index_of_name(&router.spec.key)?;
-                let parts = split_batch(
-                    &batch,
-                    key_idx,
-                    router.partitioner.as_ref(),
-                    self.shared.shards.len(),
-                )?;
-                for (i, part) in parts.into_iter().enumerate() {
-                    if part.num_rows() > 0 {
-                        stage(i, part)?;
-                    }
-                }
-            }
-            Some(_) => {
-                // Replicated table: every shard gets the same rows.
-                for i in 0..self.shared.shards.len() {
-                    stage(i, batch.clone())?;
-                }
-            }
-            None => stage(0, batch)?,
+        let shards = self.shared.shards.len();
+        for (shard, part) in self.shared.router.route(&lowered, batch, shards)? {
+            stage(shard, part)?;
         }
         if let Some(durable) = &self.shared.durable {
             if !staged.is_empty() {
@@ -1396,11 +1317,13 @@ impl QueryService {
     }
 
     /// EXPLAIN ANALYZE through the service: runs inline (not queued)
-    /// against the current snapshots under the request's budget, and
-    /// prefixes the engine's report with the service comment line
-    /// (`-- service: epoch=… queue_wait_us=… …`). Sharded services add a
-    /// `-- shards:` header and one `-- shard i:` line per shard with its
-    /// epoch, partial rows, and segment-prune counters.
+    /// against the current snapshots under the request's budget, exactly
+    /// as a submitted query would run. The text opens with the service
+    /// comment line (`-- service: epoch=… queue_wait_us=… …`), a
+    /// `-- shards:` header, and one `-- shard i:` line per shard with its
+    /// epoch, partial rows, and segment-prune counters; then the decision
+    /// trace, the logical plan, and the executed operator tree (combined
+    /// across shards) with the run's cleanse cache activity.
     pub fn explain_analyze(&self, req: &QueryRequest) -> Result<String, ServiceError> {
         // `AS OF epoch E` runs the analysis against the historical
         // snapshots of global epoch E instead of the live ones.
@@ -1408,89 +1331,29 @@ impl QueryService {
             Some((stripped, epoch)) => (stripped, self.shared.historical_snapshots(epoch)?),
             None => (req.sql.clone(), self.shared.load_snapshots()),
         };
-        let epochs = EpochVector(snaps.iter().map(|s| s.epoch).collect());
-        let start = Instant::now();
-        let mut budget = QueryBudget::unlimited();
-        if let Some(d) = req.deadline.or(self.shared.config.default_deadline) {
-            budget = budget.with_deadline(d);
+        let (detail, stats) = self.run_inline(req, &sql, &snaps)?;
+        let mut out = format!(
+            "{}\n-- shards: n={} mode={} partitioner=hash key={} rows_merged={}\n",
+            stats.render_comment(),
+            self.shared.shards.len(),
+            detail.mode,
+            self.shared.router.spec.key,
+            detail.report.stats.shard_rows_merged,
+        );
+        for o in &detail.per_shard {
+            out.push_str(&format!(
+                "-- shard {}: epoch={} rows={} segments_scanned={} segments_pruned={}\n",
+                o.shard, o.epoch, o.rows, o.segments_scanned, o.segments_pruned,
+            ));
         }
-        if let Some(rows) = req.row_limit.or(self.shared.config.default_row_limit) {
-            budget = budget.with_row_limit(rows);
-        }
-        match &self.shared.router {
-            None => {
-                let report = self
-                    .shared
-                    .coordinator()
-                    .explain_snapshot(
-                        &snaps[0].catalog,
-                        &req.application,
-                        &sql,
-                        req.strategy,
-                        true,
-                        budget,
-                    )
-                    .map_err(ServiceError::from)?;
-                let stats = ServiceStats {
-                    snapshot_epoch: epochs.total(),
-                    epochs,
-                    queue_wait: Duration::ZERO,
-                    exec_time: start.elapsed(),
-                    worker: usize::MAX, // inline, not a pool worker
-                    abort_reason: None,
-                    coalesced: false,
-                };
-                Ok(format!("{}\n{}", stats.render_comment(), report.text()))
-            }
-            Some(router) => {
-                let detail =
-                    self.shared
-                        .run_detail(&snaps, &req.application, &sql, req.strategy, budget)?;
-                let stats = ServiceStats {
-                    snapshot_epoch: epochs.total(),
-                    epochs,
-                    queue_wait: Duration::ZERO,
-                    exec_time: start.elapsed(),
-                    worker: usize::MAX,
-                    abort_reason: None,
-                    coalesced: false,
-                };
-                let mut out = String::new();
-                out.push_str(&stats.render_comment());
-                out.push('\n');
-                out.push_str(&format!(
-                    "-- shards: n={} mode={} partitioner={} key={} rows_merged={}\n",
-                    self.shared.shards.len(),
-                    detail.mode,
-                    router.partitioner.name(),
-                    router.spec.key,
-                    detail.report.stats.shard_rows_merged,
-                ));
-                for o in &detail.per_shard {
-                    out.push_str(&format!(
-                        "-- shard {}: epoch={} rows={} segments_scanned={} segments_pruned={}\n",
-                        o.shard, o.epoch, o.rows, o.segments_scanned, o.segments_pruned,
-                    ));
-                }
-                // Decision trace + plans from a no-execute explain at the
-                // coordinator (the execution above already paid analyze).
-                let report = self
-                    .shared
-                    .coordinator()
-                    .explain_snapshot(
-                        &snaps[0].catalog,
-                        &req.application,
-                        &sql,
-                        req.strategy,
-                        false,
-                        QueryBudget::unlimited(),
-                    )
-                    .map_err(ServiceError::from)?;
-                out.push_str(&format!("-- result rows: {}\n", detail.batch.num_rows()));
-                out.push_str(&report.text());
-                Ok(out)
-            }
-        }
+        let report = self.shared.coordinator().explain_run(
+            &snaps[0].catalog,
+            detail.rewritten,
+            req.strategy,
+            Some(detail.report),
+        )?;
+        out.push_str(&report.text());
+        Ok(out)
     }
 
     /// Run one query against the service as of global epoch `epoch`,
@@ -1512,7 +1375,23 @@ impl QueryService {
             None => req.sql.clone(),
         };
         let snaps = self.shared.historical_snapshots(epoch)?;
-        let epochs = EpochVector(snaps.iter().map(|s| s.epoch).collect());
+        let (detail, service) = self.run_inline(req, &sql, &snaps)?;
+        self.shared.completed.fetch_add(1, Ordering::Relaxed);
+        Ok(QueryResponse {
+            batch: detail.batch,
+            report: detail.report,
+            service,
+        })
+    }
+
+    /// Run `req` — with `sql` standing in for its text — inline (not
+    /// queued) against `snaps` under the request's budget.
+    fn run_inline(
+        &self,
+        req: &QueryRequest,
+        sql: &str,
+        snaps: &[Arc<Snapshot>],
+    ) -> Result<(RunDetail, ServiceStats), ServiceError> {
         let start = Instant::now();
         let mut budget = QueryBudget::unlimited();
         if let Some(d) = req.deadline.or(self.shared.config.default_deadline) {
@@ -1521,23 +1400,20 @@ impl QueryService {
         if let Some(rows) = req.row_limit.or(self.shared.config.default_row_limit) {
             budget = budget.with_row_limit(rows);
         }
-        let detail =
-            self.shared
-                .run_detail(&snaps, &req.application, &sql, req.strategy, budget)?;
-        self.shared.completed.fetch_add(1, Ordering::Relaxed);
-        Ok(QueryResponse {
-            batch: detail.batch,
-            report: detail.report,
-            service: ServiceStats {
-                snapshot_epoch: epochs.total(),
-                epochs,
-                queue_wait: Duration::ZERO,
-                exec_time: start.elapsed(),
-                worker: usize::MAX, // inline, not a pool worker
-                abort_reason: None,
-                coalesced: false,
-            },
-        })
+        let detail = self
+            .shared
+            .run_detail(snaps, &req.application, sql, req.strategy, budget)?;
+        let epochs = EpochVector(snaps.iter().map(|s| s.epoch).collect());
+        let stats = ServiceStats {
+            snapshot_epoch: epochs.total(),
+            epochs,
+            queue_wait: Duration::ZERO,
+            exec_time: start.elapsed(),
+            worker: usize::MAX, // inline, not a pool worker
+            abort_reason: None,
+            coalesced: false,
+        };
+        Ok((detail, stats))
     }
 
     /// Durability counters — `None` for a purely in-memory service.
@@ -1997,6 +1873,7 @@ mod tests {
             "caser",
             Batch::from_rows(reads_schema(), &rows).unwrap(),
         ));
+        let input = catalog.get("caser").unwrap();
         let sys = DeferredCleansingSystem::with_catalog(catalog);
         sys.define_rule("app", DUP).unwrap();
         let svc = QueryService::start(
@@ -2007,6 +1884,15 @@ mod tests {
                 ..ServiceConfig::default()
             },
         );
+        // The one shard serves the input system's own tables: no copy.
+        assert!(Arc::ptr_eq(
+            &svc.shard_system(0).catalog().get("caser").unwrap(),
+            &input
+        ));
+        assert!(Arc::ptr_eq(
+            &svc.shard_snapshot(0).catalog.get("caser").unwrap(),
+            &input
+        ));
         let tickets: Vec<_> = (0..16)
             .map(|_| {
                 svc.submit(QueryRequest::new("app", "select epc, rtime from caser"))
@@ -2036,6 +1922,7 @@ mod tests {
             .explain_analyze(&QueryRequest::new("app", "select epc from caser"))
             .unwrap();
         assert!(text.starts_with("-- service: epoch=0 "), "got: {text}");
+        assert!(text.contains("-- shards: n=1 "), "got: {text}");
         assert!(text.contains("-- chosen:"));
         assert!(text.contains("rows_out="));
     }
@@ -2187,6 +2074,7 @@ mod tests {
         assert!(text.contains("-- shard 0: epoch=0 rows="), "got: {text}");
         assert!(text.contains("-- shard 1: epoch=0 rows="), "got: {text}");
         assert!(text.contains("-- chosen:"));
+        assert!(text.contains("rows_out="), "got: {text}");
     }
 
     #[test]

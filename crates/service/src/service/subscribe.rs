@@ -543,11 +543,13 @@ impl QueryService {
     }
 
     /// The cluster-key column appends to `table` are keyed on, when one can
-    /// be resolved: the router's shard key in sharded mode, else the single
-    /// `CLUSTER BY` column the defined rules use for this table.
+    /// be resolved: the router's shard key when the service partitions on
+    /// one, else the single `CLUSTER BY` column the defined rules use for
+    /// this table.
     pub(super) fn cluster_key_column(&self, table: &str) -> Option<String> {
-        if let Some(router) = &self.shared.router {
-            return Some(router.spec.key.clone());
+        let key = &self.shared.router.spec.key;
+        if !key.is_empty() {
+            return Some(key.clone());
         }
         let rules = self.shared.coordinator().rules();
         let mut keys: BTreeSet<String> = BTreeSet::new();

@@ -123,6 +123,13 @@ fn build_system() -> DeferredCleansingSystem {
     sys
 }
 
+/// [`build_system`] with a cleansed-sequence cache of `capacity` entries.
+fn build_cached_system(capacity: usize) -> DeferredCleansingSystem {
+    let mut sys = build_system();
+    sys.enable_cleanse_cache(capacity);
+    sys
+}
+
 fn config() -> ServiceConfig {
     ServiceConfig {
         workers: 1,
@@ -200,9 +207,9 @@ fn measure(tag: &str, shards: Option<usize>) -> Vec<u64> {
     let svc = match shards {
         None => QueryService::start_durable(build_system(), config(), opts).unwrap(),
         Some(n) => QueryService::start_sharded_durable(
-            build_system(),
+            build_cached_system(32),
             config(),
-            ShardConfig::new(n, "epc").with_cleanse_cache(32),
+            ShardConfig::new(n, "epc"),
             opts,
         )
         .unwrap(),
@@ -247,9 +254,9 @@ fn crash_point(tag: &str, ticks: u64, shards: Option<usize>) -> PointReport {
     let started = match shards {
         None => QueryService::start_durable(build_system(), config(), opts),
         Some(n) => QueryService::start_sharded_durable(
-            build_system(),
+            build_cached_system(32),
             config(),
-            ShardConfig::new(n, "epc").with_cleanse_cache(32),
+            ShardConfig::new(n, "epc"),
             opts,
         ),
     };
@@ -470,4 +477,36 @@ fn crash_battery_recovers_longest_durable_prefix() {
 #[test]
 fn sharded_crash_battery_recovers_consistent_union() {
     run_battery("sharded", Some(2), 7);
+}
+
+/// A recovered unsharded durable service keeps the cleanse cache its system
+/// was started with: the manifest records the system's cache capacity, and
+/// recovery rebuilds the cache from it.
+#[test]
+fn unsharded_recovery_keeps_cleanse_cache() {
+    let dir = scratch("cache-survives");
+    let _ = std::fs::remove_dir_all(&dir);
+    let svc =
+        QueryService::start_durable(build_cached_system(64), config(), DurableOptions::new(&dir))
+            .unwrap();
+    svc.append("caser", batch(&append_rows(0))).unwrap();
+    drop(svc);
+
+    let svc = QueryService::recover(DurableOptions::new(&dir), config()).unwrap();
+    assert!(
+        svc.system().cleanse_cache_stats().is_some(),
+        "recovery dropped the cleanse cache"
+    );
+    let req = QueryRequest::new("app", SCAN).with_strategy(Strategy::JoinBack);
+    let first = svc.execute(req.clone()).unwrap();
+    let second = svc.execute(req).unwrap();
+    assert_eq!(rows_of(&first.batch), rows_of(&second.batch));
+    assert!(
+        second.report.stats.seq_cache_hits > 0,
+        "the repeated join-back query must hit the cache: {:?}",
+        second.report.stats
+    );
+    assert!(svc.system().cleanse_cache_stats().unwrap().hits > 0);
+    drop(svc);
+    let _ = std::fs::remove_dir_all(&dir);
 }

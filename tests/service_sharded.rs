@@ -153,8 +153,9 @@ fn run_session(shards: usize, workers: usize, seed: u64, total_rounds: usize, ap
         "caser",
         Batch::from_rows(reads_schema(), &seed_rows(&mut rng, 60)).unwrap(),
     ));
-    let sys = DeferredCleansingSystem::with_catalog(catalog);
+    let mut sys = DeferredCleansingSystem::with_catalog(catalog);
     sys.define_rule("app", DUP).unwrap();
+    sys.enable_cleanse_cache(256);
 
     let svc = Arc::new(
         QueryService::start_sharded(
@@ -164,7 +165,7 @@ fn run_session(shards: usize, workers: usize, seed: u64, total_rounds: usize, ap
                 queue_capacity: 2 * workers + appends,
                 ..ServiceConfig::default()
             },
-            ShardConfig::new(shards, "epc").with_cleanse_cache(256),
+            ShardConfig::new(shards, "epc"),
         )
         .unwrap(),
     );
@@ -335,13 +336,15 @@ fn sharded_and_unsharded_services_agree_live() {
             sys.define_rule("app", DUP).unwrap();
             sys
         };
+        let mut cached = build();
+        cached.enable_cleanse_cache(128);
         let sharded = QueryService::start_sharded(
-            build(),
+            cached,
             ServiceConfig {
                 workers,
                 ..ServiceConfig::default()
             },
-            ShardConfig::new(shards, "epc").with_cleanse_cache(128),
+            ShardConfig::new(shards, "epc"),
         )
         .unwrap();
         let unsharded = QueryService::start(
@@ -389,15 +392,16 @@ fn shard_caches_warm_and_stay_correct() {
         "caser",
         Batch::from_rows(reads_schema(), &rows).unwrap(),
     ));
-    let sys = DeferredCleansingSystem::with_catalog(catalog);
+    let mut sys = DeferredCleansingSystem::with_catalog(catalog);
     sys.define_rule("app", DUP).unwrap();
+    sys.enable_cleanse_cache(256);
     let svc = QueryService::start_sharded(
         sys,
         ServiceConfig {
             workers: 2,
             ..ServiceConfig::default()
         },
-        ShardConfig::new(3, "epc").with_cleanse_cache(256),
+        ShardConfig::new(3, "epc"),
     )
     .unwrap();
 
@@ -453,10 +457,12 @@ fn as_of_queries_match_serial_replay_at_every_epoch() {
         let svc = if shards == 1 {
             QueryService::start_durable(sys, config(), DurableOptions::new(&dir)).unwrap()
         } else {
+            let mut sys = sys;
+            sys.enable_cleanse_cache(64);
             QueryService::start_sharded_durable(
                 sys,
                 config(),
-                ShardConfig::new(shards, "epc").with_cleanse_cache(64),
+                ShardConfig::new(shards, "epc"),
                 DurableOptions::new(&dir),
             )
             .unwrap()
