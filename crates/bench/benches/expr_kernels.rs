@@ -1,13 +1,14 @@
-//! Microbench for the typed expression kernels: `filter_chunk` over a
-//! selection-carrying chunk vs the per-row `Value`-boxing oracle.
+//! Microbench for the typed expression kernels: `Expr::filter_indices` over
+//! a flat batch and over zero-copy windows at non-zero offsets vs the
+//! per-row `Value`-boxing oracle.
 //!
 //! Counters are deterministic, so this bench *asserts* the acceptance bars
 //! instead of just printing numbers: every predicate must run fully on
 //! typed kernels (zero fallback rows), spend at most one accumulator op
-//! per compute node per **selected** row, and agree with the oracle's
-//! survivor count at every selection density. Wall-clock is colour only.
+//! per compute node per evaluated row, and agree with the oracle's
+//! survivor count on every batch shape. Wall-clock is colour only.
 //!
-//! `--smoke` shrinks the chunk for CI; `--out <path>` writes the numbers
+//! `--smoke` shrinks the batch for CI; `--out <path>` writes the numbers
 //! as JSON (default `BENCH_expr_kernels.json`).
 
 use dc_bench::expr_kernels::expr_kernel_ablation;
@@ -23,16 +24,15 @@ fn main() {
         .map_or("BENCH_expr_kernels.json", String::as_str);
 
     let (rows, iters) = if smoke { (16_384, 4) } else { (262_144, 16) };
-    let densities = [100u32, 25, 1];
-
-    let points = expr_kernel_ablation(rows, &densities, iters);
-    println!("expr_kernels: {rows} rows, densities {densities:?}%, {iters} iters");
+    let points = expr_kernel_ablation(rows, iters);
+    println!("expr_kernels: {rows} rows, flat + offset windows, {iters} iters");
     for p in &points {
         println!(
-            "  {:>13} @{:>3}%: {:>8} rows, {:>9} kernel ops ({} nodes), \
+            "  {:>13} {:>6}@{:<6}: {:>8} rows, {:>9} kernel ops ({} nodes), \
              {:>7} survive | kernel {:>8.3}ms vs oracle {:>8.3}ms",
             p.label,
-            p.density_pct,
+            p.shape,
+            p.offset,
             p.evaluated_rows,
             p.kernel_ops,
             p.compute_nodes,
@@ -47,17 +47,18 @@ fn main() {
         );
         assert!(
             p.kernel_ops <= p.compute_nodes * p.evaluated_rows,
-            "{}@{}%: {} kernel ops exceed {} nodes x {} selected rows",
+            "{} {}@{}: {} kernel ops exceed {} nodes x {} rows",
             p.label,
-            p.density_pct,
+            p.shape,
+            p.offset,
             p.kernel_ops,
             p.compute_nodes,
             p.evaluated_rows
         );
         assert_eq!(
             p.kernel_survivors, p.oracle_survivors,
-            "{}@{}%: kernel and oracle disagree",
-            p.label, p.density_pct
+            "{} {}@{}: kernel and oracle disagree",
+            p.label, p.shape, p.offset
         );
     }
 
@@ -69,7 +70,8 @@ fn main() {
                 .map(|p| {
                     Json::obj()
                         .set("label", p.label)
-                        .set("density_pct", u64::from(p.density_pct))
+                        .set("shape", p.shape)
+                        .set("offset", p.offset)
                         .set("compute_nodes", p.compute_nodes)
                         .set("evaluated_rows", p.evaluated_rows)
                         .set("kernel_ops", p.kernel_ops)

@@ -1,34 +1,35 @@
 //! Microbench for the typed expression kernels of
-//! [`dc_relational::expr`]: [`filter_chunk`] over a selection-carrying
-//! chunk versus the per-row `Value`-boxing oracle
-//! ([`Expr::evaluate_rowwise`] on the compacted batch).
+//! [`dc_relational::expr`]: [`Expr::filter_indices`] versus the per-row
+//! `Value`-boxing oracle ([`Expr::evaluate_rowwise`]), over a flat batch
+//! and over zero-copy [`Batch::slice`] windows at non-zero offsets.
 //!
 //! The interesting number is not wall-clock (printed as colour only) but
-//! the deterministic [`KernelStats`](dc_relational::expr::KernelStats): a
-//! typed kernel must do **at most one
-//! accumulator op per compute node per selected row**, and a predicate
+//! the deterministic [`KernelStats`]: a typed kernel must do **at most one
+//! accumulator op per compute node per evaluated row**, and a predicate
 //! made of kernel-covered nodes must never fall back to the boxed path.
 //! The `--smoke` bench asserts both, plus survivor-count equivalence with
-//! the oracle, at several selection densities.
+//! the oracle, on every batch shape.
 
 use dc_relational::batch::{schema_ref, Batch};
 use dc_relational::column::{Column, ColumnBuilder};
-use dc_relational::expr::{filter_chunk, BinaryOp, Expr};
+use dc_relational::expr::{BinaryOp, Expr, KernelStats};
 use dc_relational::schema::{Field, Schema};
 use dc_relational::value::{DataType, Value};
 use std::time::Instant;
 
-/// One measured (predicate, selection density) point.
+/// One measured (predicate, batch shape) point.
 #[derive(Debug, Clone)]
 pub struct ExprKernelPoint {
     pub label: &'static str,
-    /// Percentage of physical rows carried by the chunk's selection vector
-    /// (100 = flat chunk, no selection).
-    pub density_pct: u32,
+    /// Batch shape: `"flat"` (the whole batch) or `"window"` (a zero-copy
+    /// slice starting at `offset`).
+    pub shape: &'static str,
+    /// First row of the window within the underlying columns (0 for flat).
+    pub offset: usize,
     /// Compute nodes in the predicate (comparison / arithmetic / AND / IN
     /// nodes — leaves are free).
     pub compute_nodes: u64,
-    /// Logical rows the kernels evaluated (= selected rows).
+    /// Rows the kernels evaluated (= rows of the batch or window).
     pub evaluated_rows: u64,
     pub kernel_ops: u64,
     pub fallback_rows: u64,
@@ -54,7 +55,7 @@ impl Rng {
     }
 }
 
-/// Build the bench chunk: `a` Int in [0, 1000), `b` Int in [0, 1000) with
+/// Build the bench batch: `a` Int in [0, 1000), `b` Int in [0, 1000) with
 /// ~5% NULLs, `c` Double in [0, 1).
 fn build_batch(rows: usize, seed: u64) -> Batch {
     let mut rng = Rng(seed | 1);
@@ -109,60 +110,54 @@ fn cases() -> Vec<(&'static str, u64, Expr)> {
     ]
 }
 
-/// Count TRUE rows of `pred` via the retained per-row `Value` oracle on the
-/// compacted batch.
-fn oracle_survivors(pred: &Expr, chunk: &Batch) -> u64 {
-    let compact = chunk.flatten();
-    let c: Column = pred.evaluate_rowwise(&compact).expect("oracle eval");
+/// Count TRUE rows of `pred` via the retained per-row `Value` oracle.
+fn oracle_survivors(pred: &Expr, batch: &Batch) -> u64 {
+    let c: Column = pred.evaluate_rowwise(batch).expect("oracle eval");
     (0..c.len())
         .filter(|&k| !c.is_null(k) && c.value(k) == Value::Bool(true))
         .count() as u64
 }
 
-/// Run every predicate at each selection density over a `rows`-row chunk,
-/// `iters` timed repetitions per measurement.
-pub fn expr_kernel_ablation(
-    rows: usize,
-    densities_pct: &[u32],
-    iters: usize,
-) -> Vec<ExprKernelPoint> {
+/// Run every predicate over the flat `rows`-row batch and over two
+/// zero-copy windows of it at non-zero offsets, `iters` timed repetitions
+/// per measurement.
+pub fn expr_kernel_ablation(rows: usize, iters: usize) -> Vec<ExprKernelPoint> {
     let base = build_batch(rows, 0x5eed_2006);
+    let shapes = [
+        ("flat", 0, rows),
+        ("window", 1, rows / 2),
+        ("window", rows / 3, rows / 2),
+    ];
     let mut points = Vec::new();
-    for &pct in densities_pct {
-        let chunk = if pct >= 100 {
-            base.clone()
-        } else {
-            let mut rng = Rng(0x00d1_ce00 + u64::from(pct));
-            let sel: Vec<u32> = (0..rows as u32)
-                .filter(|_| (rng.next() % 100) < u64::from(pct))
-                .collect();
-            base.with_selection(sel)
-        };
-        let evaluated = chunk.num_rows() as u64;
+    for (shape, offset, len) in shapes {
+        let batch = base.slice(offset, len);
         for (label, compute_nodes, pred) in cases() {
             let t = Instant::now();
-            let mut outcome = None;
+            let mut survivors = Vec::new();
             for _ in 0..iters {
-                outcome = Some(filter_chunk(&pred, &chunk).expect("kernel filter"));
+                survivors = pred.filter_indices(&batch).expect("kernel filter");
             }
             let kernel_ms = t.elapsed().as_secs_f64() * 1e3;
-            let outcome = outcome.expect("at least one iteration");
+            let mut stats = KernelStats::default();
+            pred.evaluate_with_stats(&batch, &mut stats)
+                .expect("kernel eval");
 
             let t = Instant::now();
             let mut oracle = 0;
             for _ in 0..iters {
-                oracle = oracle_survivors(&pred, &chunk);
+                oracle = oracle_survivors(&pred, &batch);
             }
             let oracle_ms = t.elapsed().as_secs_f64() * 1e3;
 
             points.push(ExprKernelPoint {
                 label,
-                density_pct: pct,
+                shape,
+                offset,
                 compute_nodes,
-                evaluated_rows: evaluated,
-                kernel_ops: outcome.stats.kernel_ops,
-                fallback_rows: outcome.stats.fallback_rows,
-                kernel_survivors: outcome.selected.len() as u64,
+                evaluated_rows: len as u64,
+                kernel_ops: stats.kernel_ops,
+                fallback_rows: stats.fallback_rows,
+                kernel_survivors: survivors.len() as u64,
                 oracle_survivors: oracle,
                 kernel_ms,
                 oracle_ms,
@@ -177,22 +172,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kernels_stay_within_one_op_per_node_per_selected_row() {
-        for p in expr_kernel_ablation(2_048, &[100, 20], 1) {
+    fn kernels_stay_within_one_op_per_node_per_row() {
+        for p in expr_kernel_ablation(2_048, 1) {
             assert_eq!(p.fallback_rows, 0, "{} fell back", p.label);
             assert!(
                 p.kernel_ops <= p.compute_nodes * p.evaluated_rows,
-                "{}@{}%: {} ops > {} nodes x {} rows",
+                "{} {}@{}: {} ops > {} nodes x {} rows",
                 p.label,
-                p.density_pct,
+                p.shape,
+                p.offset,
                 p.kernel_ops,
                 p.compute_nodes,
                 p.evaluated_rows
             );
             assert_eq!(
                 p.kernel_survivors, p.oracle_survivors,
-                "{}@{}% disagrees with the oracle",
-                p.label, p.density_pct
+                "{} {}@{} disagrees with the oracle",
+                p.label, p.shape, p.offset
             );
         }
     }

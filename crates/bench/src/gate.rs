@@ -66,11 +66,6 @@ pub const INFORMATIONAL_KEYS: &[&str] = &[
     // sibling `sort_comparisons` is what gates.
     "sorts_elided",
     "merge_runs_used",
-    // Streaming-pipeline observability: chunk counts depend on the chunk
-    // size knob and avoided copies track filter selectivity — neither has a
-    // single "bad" direction, so both report without gating.
-    "batches_processed",
-    "selection_avoided_copies",
     // Worker-sweep throughput: wall-clock derived, machine-dependent.
     "queries_per_sec",
     // Hash-machinery observability: collisions depend on data, memcmps

@@ -147,7 +147,7 @@ pub fn hash_kernel_ablation(rows: usize, iters: usize) -> Vec<HashKernelPoint> {
         let key_cols: Vec<_> = cols.iter().map(|&c| fact.column(c).clone()).collect();
         let (enc, vectorized_ms) = timed(iters, || {
             let mut stats = HashStats::default();
-            let enc = encode_keys(&key_cols, None, rows, NullKeys::Match, &mut stats).unwrap();
+            let enc = encode_keys(&key_cols, rows, NullKeys::Match, &mut stats).unwrap();
             (enc, stats)
         });
         let (_, rowwise_ms) = timed(iters, || {

@@ -287,7 +287,7 @@ pub fn hash_aggregate_with(
             update(slot, &mut states, i)?;
         }
     } else {
-        let keys = encode_keys(&group_cols, None, n, NullKeys::Match, hash)?;
+        let keys = encode_keys(&group_cols, n, NullKeys::Match, hash)?;
         let mut table = RawKeyTable::with_capacity(n.min(1024));
         for i in 0..n {
             let (slot, fresh) = table.insert(keys.hash(i), keys.key(i), hash);
@@ -366,7 +366,7 @@ pub fn distinct_with(input: &Batch, rowwise: bool, hash: &mut HashStats) -> Resu
             }
         }
     } else {
-        let keys = encode_keys(input.columns(), input.selection(), n, NullKeys::Match, hash)?;
+        let keys = encode_keys(input.columns(), n, NullKeys::Match, hash)?;
         let mut table = RawKeyTable::with_capacity(n.min(1024));
         for i in 0..n {
             if table.insert(keys.hash(i), keys.key(i), hash).1 {

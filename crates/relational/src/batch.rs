@@ -1,12 +1,7 @@
 //! `Batch`: a relation fragment — a schema plus equal-length columns.
 //!
-//! Columns are Arc-backed windows, so cloning and slicing a batch is O(1).
-//! A batch may additionally carry a **selection vector**: a list of
-//! surviving physical row indices produced by a filter. Selection lets a
-//! filter mark survivors without gathering any column data; the logical row
-//! count (`num_rows`) and row accessors see only the selected rows.
-//! `flatten` compacts a selected batch back to a dense one; operators that
-//! index columns physically must flatten (or consume `selection()`) first.
+//! Columns are Arc-backed `(offset, len)` windows, so cloning, slicing and
+//! re-schemaing a batch is O(1) and copies no cell data.
 
 use crate::column::{Column, ColumnBuilder};
 use crate::error::{Error, Result};
@@ -14,17 +9,14 @@ use crate::schema::{Schema, SchemaRef};
 use crate::value::Value;
 use std::sync::Arc;
 
-/// A table fragment: one column per schema field, all the same physical
-/// length, with an optional selection vector choosing a subset of rows.
+/// A table fragment: one column per schema field, all the same length.
 /// Operators consume and produce batches.
 #[derive(Debug, Clone)]
 pub struct Batch {
     schema: SchemaRef,
     columns: Vec<Column>,
-    /// Physical rows in each column.
+    /// Rows in each column.
     rows: usize,
-    /// When present: logical row `k` is physical row `selection[k]`.
-    selection: Option<Arc<Vec<u32>>>,
 }
 
 impl Batch {
@@ -58,7 +50,6 @@ impl Batch {
             schema,
             columns,
             rows,
-            selection: None,
         })
     }
 
@@ -73,7 +64,6 @@ impl Batch {
             schema,
             columns,
             rows: 0,
-            selection: None,
         }
     }
 
@@ -106,13 +96,8 @@ impl Batch {
         &self.schema
     }
 
-    /// Logical rows: the selection length when one is present, otherwise the
-    /// physical column length.
     pub fn num_rows(&self) -> usize {
-        match &self.selection {
-            Some(sel) => sel.len(),
-            None => self.rows,
-        }
+        self.rows
     }
 
     pub fn num_columns(&self) -> usize {
@@ -123,9 +108,6 @@ impl Batch {
         self.num_rows() == 0
     }
 
-    /// Column `i` — **physical** rows. When a selection vector is present the
-    /// column still holds every pre-filter row; map logical indices through
-    /// `selection()` or `flatten()` first.
     pub fn column(&self, i: usize) -> &Column {
         &self.columns[i]
     }
@@ -134,58 +116,15 @@ impl Batch {
         &self.columns
     }
 
-    /// Column by (possibly qualified) name. Physical rows — see [`Batch::column`].
+    /// Column by (possibly qualified) name.
     pub fn column_by_name(&self, name: &str) -> Result<&Column> {
         Ok(&self.columns[self.schema.index_of_name(name)?])
     }
 
-    /// The selection vector, if this batch carries one.
-    pub fn selection(&self) -> Option<&[u32]> {
-        self.selection.as_deref().map(Vec::as_slice)
-    }
-
-    /// True when there is no selection vector (logical rows == physical rows).
-    pub fn is_flat(&self) -> bool {
-        self.selection.is_none()
-    }
-
-    /// Attach a selection vector over this batch's physical rows without
-    /// copying any column data. Indices must be in-bounds and, when composing
-    /// with an existing selection, must already be resolved to physical rows.
-    pub fn with_selection(&self, selection: Vec<u32>) -> Batch {
-        debug_assert!(selection.iter().all(|&i| (i as usize) < self.rows));
-        Batch {
-            schema: self.schema.clone(),
-            columns: self.columns.clone(),
-            rows: self.rows,
-            selection: Some(Arc::new(selection)),
-        }
-    }
-
-    /// Compact to a dense batch: gathers the selected rows once. A flat
-    /// batch returns an O(1) clone.
-    pub fn flatten(&self) -> Batch {
-        match &self.selection {
-            None => self.clone(),
-            Some(sel) => {
-                let indices: Vec<usize> = sel.iter().map(|&i| i as usize).collect();
-                Batch {
-                    schema: self.schema.clone(),
-                    columns: self.columns.iter().map(|c| c.take(&indices)).collect(),
-                    rows: indices.len(),
-                    selection: None,
-                }
-            }
-        }
-    }
-
-    /// Zero-copy chunk view: logical rows `[offset, offset + len)`. O(1) for
-    /// flat batches (column windows are shared); for a selected batch only
-    /// the selection subrange is copied, never column data — the slice of a
-    /// selected batch *is* the slice of its selection, so logical row `i`
-    /// of the result equals logical row `offset + i` of the input.
+    /// Zero-copy window: rows `[offset, offset + len)`. O(1) — column
+    /// windows are shared, never copied.
     ///
-    /// Panics when the window falls outside the logical row range; use
+    /// Panics when the window falls outside the row range; use
     /// [`Batch::try_slice`] for a recoverable, field-named error.
     pub fn slice(&self, offset: usize, len: usize) -> Batch {
         self.try_slice(offset, len)
@@ -193,8 +132,8 @@ impl Batch {
     }
 
     /// Checked [`Batch::slice`]: `Err` names the offending fields
-    /// (`offset`, `len`, logical `rows`, selection length) instead of
-    /// panicking, so operator code can surface a typed error.
+    /// (`offset`, `len`, `rows`) instead of panicking, so operator code can
+    /// surface a typed error.
     pub fn try_slice(&self, offset: usize, len: usize) -> Result<Batch> {
         let end = offset.checked_add(len).ok_or_else(|| {
             Error::Execution(format!(
@@ -204,55 +143,33 @@ impl Batch {
         if end > self.num_rows() {
             return Err(Error::Execution(format!(
                 "slice: window [offset={offset}, offset+len={end}) out of bounds for \
-                 batch with rows={}{}",
-                self.num_rows(),
-                match &self.selection {
-                    Some(sel) => format!(" (selection of {} entries)", sel.len()),
-                    None => String::new(),
-                }
+                 batch with rows={}",
+                self.rows
             )));
         }
-        Ok(match &self.selection {
-            None => Batch {
-                schema: self.schema.clone(),
-                columns: self.columns.iter().map(|c| c.slice(offset, len)).collect(),
-                rows: len,
-                selection: None,
-            },
-            Some(sel) => Batch {
-                schema: self.schema.clone(),
-                columns: self.columns.clone(),
-                rows: self.rows,
-                selection: Some(Arc::new(sel[offset..end].to_vec())),
-            },
+        Ok(Batch {
+            schema: self.schema.clone(),
+            columns: self.columns.iter().map(|c| c.slice(offset, len)).collect(),
+            rows: len,
         })
     }
 
-    /// Row `i` (logical) as scalar values.
+    /// Row `i` as scalar values.
     pub fn row(&self, i: usize) -> Vec<Value> {
-        let phys = match &self.selection {
-            Some(sel) => sel[i] as usize,
-            None => i,
-        };
-        self.columns.iter().map(|c| c.value(phys)).collect()
+        self.columns.iter().map(|c| c.value(i)).collect()
     }
 
-    /// Gather logical rows by index into a new (flat) batch.
+    /// Gather rows by index into a new batch.
     pub fn take(&self, indices: &[usize]) -> Batch {
-        let phys: Vec<usize> = match &self.selection {
-            Some(sel) => indices.iter().map(|&i| sel[i] as usize).collect(),
-            None => indices.to_vec(),
-        };
         Batch {
             schema: self.schema.clone(),
-            columns: self.columns.iter().map(|c| c.take(&phys)).collect(),
-            rows: phys.len(),
-            selection: None,
+            columns: self.columns.iter().map(|c| c.take(indices)).collect(),
+            rows: indices.len(),
         }
     }
 
     /// Replace the schema (must have identical types) — used to re-qualify
-    /// fields when a table is aliased. Preserves any selection vector.
+    /// fields when a table is aliased.
     pub fn with_schema(&self, schema: SchemaRef) -> Result<Batch> {
         if !self.schema.types_compatible(&schema) {
             return Err(Error::Schema(format!(
@@ -264,12 +181,11 @@ impl Batch {
             schema,
             columns: self.columns.clone(),
             rows: self.rows,
-            selection: self.selection.clone(),
         })
     }
 
     /// Vertically concatenate batches with type-compatible schemas; the
-    /// first batch's schema is kept. Selected batches are compacted first.
+    /// first batch's schema is kept.
     pub fn concat(parts: &[Batch]) -> Result<Batch> {
         let Some(first) = parts.first() else {
             return Err(Error::Internal("concat of zero batches".into()));
@@ -282,18 +198,16 @@ impl Batch {
                 )));
             }
         }
-        let flats: Vec<Batch> = parts.iter().map(Batch::flatten).collect();
         let mut columns = Vec::with_capacity(first.num_columns());
         for ci in 0..first.num_columns() {
-            let cols: Vec<&Column> = flats.iter().map(|p| p.column(ci)).collect();
+            let cols: Vec<&Column> = parts.iter().map(|p| p.column(ci)).collect();
             columns.push(Column::concat(&cols)?);
         }
-        let rows = flats.iter().map(Batch::num_rows).sum();
+        let rows = parts.iter().map(Batch::num_rows).sum();
         Ok(Batch {
             schema: first.schema.clone(),
             columns,
             rows,
-            selection: None,
         })
     }
 
@@ -448,25 +362,6 @@ mod tests {
     }
 
     #[test]
-    fn selection_changes_logical_view_without_copying() {
-        let b = sample().with_selection(vec![2, 0]);
-        assert_eq!(b.num_rows(), 2);
-        assert!(!b.is_flat());
-        assert_eq!(b.row(0), vec![Value::str("e1"), Value::Int(30)]);
-        assert_eq!(b.row(1), vec![Value::str("e1"), Value::Int(10)]);
-        // Physical columns still hold all three rows.
-        assert_eq!(b.column(0).len(), 3);
-        // flatten() compacts to a dense batch with the same logical rows.
-        let flat = b.flatten();
-        assert!(flat.is_flat());
-        assert_eq!(flat.num_rows(), 2);
-        assert_eq!(flat.sorted_rows(), b.sorted_rows());
-        // take() through a selection resolves logical indices.
-        let t = b.take(&[1]);
-        assert_eq!(t.row(0), vec![Value::str("e1"), Value::Int(10)]);
-    }
-
-    #[test]
     fn slice_of_flat_batch_shares_columns() {
         let b = sample();
         let s = b.slice(1, 2);
@@ -476,24 +371,5 @@ mod tests {
         // A slice of a slice stays consistent.
         let s2 = s.slice(1, 1);
         assert_eq!(s2.row(0), vec![Value::str("e1"), Value::Int(30)]);
-    }
-
-    #[test]
-    fn slice_of_selected_batch_slices_the_selection() {
-        let b = sample().with_selection(vec![2, 1, 0]);
-        let s = b.slice(1, 2);
-        assert_eq!(s.num_rows(), 2);
-        assert_eq!(s.row(0), vec![Value::str("e2"), Value::Int(20)]);
-        assert_eq!(s.row(1), vec![Value::str("e1"), Value::Int(10)]);
-    }
-
-    #[test]
-    fn concat_compacts_selections() {
-        let a = sample().with_selection(vec![0]);
-        let b = sample().with_selection(vec![2]);
-        let c = Batch::concat(&[a, b]).unwrap();
-        assert!(c.is_flat());
-        assert_eq!(c.num_rows(), 2);
-        assert_eq!(c.row(1), vec![Value::str("e1"), Value::Int(30)]);
     }
 }

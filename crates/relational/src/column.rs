@@ -5,8 +5,8 @@
 //! case pays nothing for null tracking.
 //!
 //! Payload and bitmap are held behind `Arc` together with an `(offset, len)`
-//! window, so slicing a column — and therefore slicing a `Batch` into
-//! execution chunks — is O(1) and never copies cell data. Builders still
+//! window, so slicing a column — and therefore slicing a `Batch` or taking
+//! a `LIMIT` — is O(1) and never copies cell data. Builders still
 //! produce a full-width window over a freshly built vector, so the change is
 //! invisible to code that only constructs and reads columns.
 

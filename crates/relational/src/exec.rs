@@ -12,9 +12,7 @@
 
 use crate::batch::Batch;
 use crate::error::Result;
-use crate::physical::{
-    collect_input, lower, ExecContext, ExecOptions, OperatorMetrics, QueryBudget,
-};
+use crate::physical::{lower, ExecContext, ExecOptions, OperatorMetrics, QueryBudget};
 use crate::plan::LogicalPlan;
 use crate::table::Catalog;
 
@@ -64,14 +62,6 @@ pub struct ExecStats {
     pub seq_cache_misses: u64,
     /// Cleansed-sequence cache entries invalidated by appends.
     pub seq_cache_invalidations: u64,
-    /// Chunks emitted by streaming operators (0 when running fully
-    /// materialized, i.e. `chunk_rows == 0`). Deterministic for a fixed
-    /// chunk size: identical at any parallelism.
-    pub batches_processed: u64,
-    /// Column gathers avoided because a filtering operator marked survivors
-    /// with a selection vector instead of copying column data (one per
-    /// column per selection-carrying chunk).
-    pub selection_avoided_copies: u64,
     /// Partial rows received from shard executors and combined by the
     /// scatter-gather coordinator (0 for unsharded execution).
     pub shard_rows_merged: u64,
@@ -120,8 +110,6 @@ impl ExecStats {
             seq_cache_hits,
             seq_cache_misses,
             seq_cache_invalidations,
-            batches_processed,
-            selection_avoided_copies,
             shard_rows_merged,
             maintenance_delta_rows,
             maintenance_scoped_rows,
@@ -148,8 +136,6 @@ impl ExecStats {
         self.seq_cache_hits += seq_cache_hits;
         self.seq_cache_misses += seq_cache_misses;
         self.seq_cache_invalidations += seq_cache_invalidations;
-        self.batches_processed += batches_processed;
-        self.selection_avoided_copies += selection_avoided_copies;
         self.shard_rows_merged += shard_rows_merged;
         self.maintenance_delta_rows += maintenance_delta_rows;
         self.maintenance_scoped_rows += maintenance_scoped_rows;
@@ -209,13 +195,13 @@ impl<'a> Executor<'a> {
     }
 
     /// Execute a plan to a fully materialized batch: lower to a physical
-    /// operator tree, then run it — streaming 1024-row morsels through
-    /// pipelined operators when [`ExecOptions::chunk_rows`] > 0, fully
-    /// materialized otherwise.
+    /// operator tree, then run its root through the instrumented
+    /// [`PhysicalOperator::execute`](crate::physical::PhysicalOperator::execute),
+    /// each operator materializing its whole output.
     pub fn execute(&mut self, plan: &LogicalPlan) -> Result<Batch> {
         let physical = lower(plan, self.catalog)?;
         let mut ctx = ExecContext::with_budget(self.catalog, self.options, self.budget.clone());
-        let out = collect_input(physical.as_ref(), &mut ctx);
+        let out = physical.execute(&mut ctx);
         self.stats.add(&ctx.stats);
         self.window_eval_nanos += ctx.window_eval_nanos;
         self.metrics = ctx.metrics.finish();

@@ -286,28 +286,27 @@ impl Expr {
         }
     }
 
-    /// Evaluate over a batch, producing one value per logical row.
+    /// Evaluate over a batch, producing one value per row.
     ///
     /// This is the kernel-accelerated path: binary arithmetic, comparisons,
     /// `AND`/`OR`, `IS NULL`, and `IN` dispatch once on the operand
-    /// `ColumnData` types and run tight loops over native slices, honoring
-    /// the batch's selection vector when one is present (only selected rows
-    /// are evaluated — so error behavior matches a pre-compacted batch).
-    /// Type combinations without a kernel fall back to the per-row `Value`
-    /// path with identical semantics. [`Expr::evaluate_rowwise`] is the
-    /// retained `Value`-boxed oracle the property suite compares against.
+    /// `ColumnData` types and run tight loops over the native slices of the
+    /// batch's column windows. Type combinations without a kernel fall back
+    /// to the per-row `Value` path with identical semantics.
+    /// [`Expr::evaluate_rowwise`] is the retained `Value`-boxed oracle the
+    /// property suite compares against.
     pub fn evaluate(&self, batch: &Batch) -> Result<Column> {
-        let mut ks = KernelStats::default();
-        eval_vec(self, batch, batch.selection(), &mut ks)
+        self.evaluate_with_stats(batch, &mut KernelStats::default())
+    }
+
+    /// [`Expr::evaluate`], adding the typed kernels' work to `ks`.
+    pub fn evaluate_with_stats(&self, batch: &Batch, ks: &mut KernelStats) -> Result<Column> {
+        eval_vec(self, batch, ks)
     }
 
     /// The original per-row `Value`-boxing evaluator, kept verbatim as the
-    /// equivalence oracle for the typed kernels. Produces one value per
-    /// logical row (selected batches are compacted first).
+    /// equivalence oracle for the typed kernels.
     pub fn evaluate_rowwise(&self, batch: &Batch) -> Result<Column> {
-        if !batch.is_flat() {
-            return self.evaluate_rowwise(&batch.flatten());
-        }
         let n = batch.num_rows();
         match self {
             Expr::Column(c) => {
@@ -652,106 +651,14 @@ impl KernelStats {
     }
 }
 
-/// Result of [`filter_chunk`]: the surviving **physical** row indices of the
-/// chunk (a subset of its selection vector when it carried one), plus kernel
-/// work accounting.
-#[derive(Debug)]
-pub struct FilterOutcome {
-    pub selected: Vec<u32>,
-    pub stats: KernelStats,
-}
-
-/// Evaluate a predicate over a chunk and return the physical rows where it
-/// is TRUE, without gathering any column data.
-///
-/// Only the chunk's *selected* rows are evaluated (all of them when the
-/// chunk is flat), so a row removed by an upstream filter can never raise an
-/// evaluation error here — matching the materialized path, which compacts
-/// between filters.
-pub fn filter_chunk(pred: &Expr, chunk: &Batch) -> Result<FilterOutcome> {
-    let mut stats = KernelStats::default();
-    let sel = chunk.selection();
-    let c = eval_vec(pred, chunk, sel, &mut stats)?;
-    if c.data_type() != DataType::Bool {
-        return Err(Error::Execution(format!(
-            "filter predicate produced {} not BOOLEAN",
-            c.data_type()
-        )));
-    }
-    let mut selected = Vec::new();
-    for k in 0..c.len() {
-        if !c.is_null(k) && c.value(k).as_bool() == Some(true) {
-            let phys = match sel {
-                Some(rows) => rows[k],
-                None => k as u32,
-            };
-            selected.push(phys);
-        }
-    }
-    Ok(FilterOutcome { selected, stats })
-}
-
-/// A binary-kernel operand: either a physical leaf column (indexed through
-/// the selection map) or a dense intermediate (indexed positionally).
-enum Operand<'a> {
-    Leaf(&'a Column),
-    Owned(Column),
-}
-
-impl Operand<'_> {
-    #[inline]
-    fn col(&self) -> &Column {
-        match self {
-            Operand::Leaf(c) => c,
-            Operand::Owned(c) => c,
-        }
-    }
-
-    /// Physical index of logical position `k` for this operand.
-    #[inline]
-    fn map(&self, sel: Option<&[u32]>, k: usize) -> usize {
-        match (self, sel) {
-            (Operand::Leaf(_), Some(rows)) => rows[k] as usize,
-            _ => k,
-        }
-    }
-}
-
-fn operand<'a>(
-    e: &Expr,
-    batch: &'a Batch,
-    sel: Option<&[u32]>,
-    ks: &mut KernelStats,
-) -> Result<Operand<'a>> {
-    match e {
-        Expr::Column(c) => {
-            let i = batch.schema().index_of(c.qualifier.as_deref(), &c.name)?;
-            Ok(Operand::Leaf(batch.column(i)))
-        }
-        other => Ok(Operand::Owned(eval_vec(other, batch, sel, ks)?)),
-    }
-}
-
-/// Vectorized evaluation core: produce a dense column with one entry per
-/// evaluated row (`sel` when present, else every batch row). Semantics are
-/// identical to [`Expr::evaluate_rowwise`] restricted to those rows.
-fn eval_vec(
-    expr: &Expr,
-    batch: &Batch,
-    sel: Option<&[u32]>,
-    ks: &mut KernelStats,
-) -> Result<Column> {
-    let n = sel.map_or_else(|| batch.num_rows(), <[u32]>::len);
+/// Vectorized evaluation core: produce a column with one entry per batch
+/// row. Semantics are identical to [`Expr::evaluate_rowwise`].
+fn eval_vec(expr: &Expr, batch: &Batch, ks: &mut KernelStats) -> Result<Column> {
+    let n = batch.num_rows();
     match expr {
         Expr::Column(c) => {
             let i = batch.schema().index_of(c.qualifier.as_deref(), &c.name)?;
-            match sel {
-                None => Ok(batch.column(i).clone()),
-                Some(rows) => {
-                    let idx: Vec<usize> = rows.iter().map(|&r| r as usize).collect();
-                    Ok(batch.column(i).take(&idx))
-                }
-            }
+            Ok(batch.column(i).clone())
         }
         Expr::Literal(v) => {
             let dt = v.data_type().unwrap_or(DataType::Int);
@@ -762,12 +669,12 @@ fn eval_vec(
             Ok(b.finish())
         }
         Expr::Binary { left, op, right } => {
-            let l = operand(left, batch, sel, ks)?;
-            let r = operand(right, batch, sel, ks)?;
-            eval_binary_vec(&l, *op, &r, sel, n, expr, ks)
+            let l = eval_vec(left, batch, ks)?;
+            let r = eval_vec(right, batch, ks)?;
+            eval_binary_vec(&l, *op, &r, n, expr, ks)
         }
         Expr::Not(inner) => {
-            let c = eval_vec(inner, batch, sel, ks)?;
+            let c = eval_vec(inner, batch, ks)?;
             if let Some(vals) = c.bool_values() {
                 ks.kernel_ops += n as u64;
                 let mut out = Vec::with_capacity(n);
@@ -800,12 +707,9 @@ fn eval_vec(
             Ok(b.finish())
         }
         Expr::IsNull { expr, negated } => {
-            let op = operand(expr, batch, sel, ks)?;
+            let c = eval_vec(expr, batch, ks)?;
             ks.kernel_ops += n as u64;
-            let mut out = Vec::with_capacity(n);
-            for k in 0..n {
-                out.push(op.col().is_null(op.map(sel, k)) != *negated);
-            }
+            let out = (0..n).map(|k| c.is_null(k) != *negated).collect();
             Ok(Column::from_data(ColumnData::Bool(out)))
         }
         Expr::InList {
@@ -814,14 +718,14 @@ fn eval_vec(
             negated,
         } => {
             let set: HashSet<Value> = list.iter().cloned().collect();
-            let op = operand(expr, batch, sel, ks)?;
-            eval_in_vec(&op, &set, *negated, sel, n, ks)
+            let c = eval_vec(expr, batch, ks)?;
+            eval_in_vec(&c, &set, *negated, n, ks)
         }
         Expr::InSet {
             expr, set, negated, ..
         } => {
-            let op = operand(expr, batch, sel, ks)?;
-            eval_in_vec(&op, set, *negated, sel, n, ks)
+            let c = eval_vec(expr, batch, ks)?;
+            eval_in_vec(&c, set, *negated, n, ks)
         }
         Expr::CountIf(_) => Err(Error::Plan(
             "count(<predicate>) is only valid inside a cleansing rule \
@@ -835,15 +739,15 @@ fn eval_vec(
             let dt = expr.data_type(batch.schema())?;
             let conds: Vec<Column> = branches
                 .iter()
-                .map(|(c, _)| eval_vec(c, batch, sel, ks))
+                .map(|(c, _)| eval_vec(c, batch, ks))
                 .collect::<Result<_>>()?;
             let results: Vec<Column> = branches
                 .iter()
-                .map(|(_, r)| eval_vec(r, batch, sel, ks))
+                .map(|(_, r)| eval_vec(r, batch, ks))
                 .collect::<Result<_>>()?;
             let else_col = else_expr
                 .as_ref()
-                .map(|e| eval_vec(e, batch, sel, ks))
+                .map(|e| eval_vec(e, batch, ks))
                 .transpose()?;
             let mut b = ColumnBuilder::new(dt, n);
             'row: for k in 0..n {
@@ -906,15 +810,13 @@ fn num_slice(c: &Column) -> Option<NumSlice<'_>> {
 }
 
 fn eval_binary_vec(
-    l: &Operand<'_>,
+    lc: &Column,
     op: BinaryOp,
-    r: &Operand<'_>,
-    sel: Option<&[u32]>,
+    rc: &Column,
     n: usize,
     ctx: &Expr,
     ks: &mut KernelStats,
 ) -> Result<Column> {
-    let (lc, rc) = (l.col(), r.col());
     if op.is_comparison() {
         let mut out = Vec::with_capacity(n);
         let mut validity = Bitmap::new(n, true);
@@ -928,12 +830,11 @@ fn eval_binary_vec(
         if let (Some(la), Some(ra)) = (lc.int_values(), rc.int_values()) {
             ks.kernel_ops += n as u64;
             for k in 0..n {
-                let (li, ri) = (l.map(sel, k), r.map(sel, k));
-                if lc.is_null(li) || rc.is_null(ri) {
+                if lc.is_null(k) || rc.is_null(k) {
                     has_null = true;
                     null_at(&mut validity, &mut out, k);
                 } else {
-                    out.push(cmp_truth(op, la[li].cmp(&ra[ri])));
+                    out.push(cmp_truth(op, la[k].cmp(&ra[k])));
                 }
             }
             return finish_col(ColumnData::Bool(out), validity, has_null);
@@ -941,12 +842,11 @@ fn eval_binary_vec(
         if let (Some(ln), Some(rn)) = (num_slice(lc), num_slice(rc)) {
             ks.kernel_ops += n as u64;
             for k in 0..n {
-                let (li, ri) = (l.map(sel, k), r.map(sel, k));
-                if lc.is_null(li) || rc.is_null(ri) {
+                if lc.is_null(k) || rc.is_null(k) {
                     has_null = true;
                     null_at(&mut validity, &mut out, k);
                 } else {
-                    match ln.get(li).partial_cmp(&rn.get(ri)) {
+                    match ln.get(k).partial_cmp(&rn.get(k)) {
                         Some(o) => out.push(cmp_truth(op, o)),
                         None => {
                             has_null = true;
@@ -960,12 +860,11 @@ fn eval_binary_vec(
         if let (Some(la), Some(ra)) = (lc.str_values(), rc.str_values()) {
             ks.kernel_ops += n as u64;
             for k in 0..n {
-                let (li, ri) = (l.map(sel, k), r.map(sel, k));
-                if lc.is_null(li) || rc.is_null(ri) {
+                if lc.is_null(k) || rc.is_null(k) {
                     has_null = true;
                     null_at(&mut validity, &mut out, k);
                 } else {
-                    out.push(cmp_truth(op, la[li].as_ref().cmp(ra[ri].as_ref())));
+                    out.push(cmp_truth(op, la[k].as_ref().cmp(ra[k].as_ref())));
                 }
             }
             return finish_col(ColumnData::Bool(out), validity, has_null);
@@ -973,12 +872,11 @@ fn eval_binary_vec(
         if let (Some(la), Some(ra)) = (lc.bool_values(), rc.bool_values()) {
             ks.kernel_ops += n as u64;
             for k in 0..n {
-                let (li, ri) = (l.map(sel, k), r.map(sel, k));
-                if lc.is_null(li) || rc.is_null(ri) {
+                if lc.is_null(k) || rc.is_null(k) {
                     has_null = true;
                     null_at(&mut validity, &mut out, k);
                 } else {
-                    out.push(cmp_truth(op, la[li].cmp(&ra[ri])));
+                    out.push(cmp_truth(op, la[k].cmp(&ra[k])));
                 }
             }
             return finish_col(ColumnData::Bool(out), validity, has_null);
@@ -987,8 +885,7 @@ fn eval_binary_vec(
         ks.fallback_rows += n as u64;
         let mut b = ColumnBuilder::new(DataType::Bool, n);
         for k in 0..n {
-            let (li, ri) = (l.map(sel, k), r.map(sel, k));
-            match lc.value(li).sql_cmp(&rc.value(ri)) {
+            match lc.value(k).sql_cmp(&rc.value(k)) {
                 None => b.push_null(),
                 Some(o) => b.push(&Value::Bool(cmp_truth(op, o)))?,
             }
@@ -1003,9 +900,8 @@ fn eval_binary_vec(
                 let mut validity = Bitmap::new(n, true);
                 let mut has_null = false;
                 for k in 0..n {
-                    let (li, ri) = (l.map(sel, k), r.map(sel, k));
-                    let lv = (!lc.is_null(li)).then(|| la[li]);
-                    let rv = (!rc.is_null(ri)).then(|| ra[ri]);
+                    let lv = (!lc.is_null(k)).then(|| la[k]);
+                    let rv = (!rc.is_null(k)).then(|| ra[k]);
                     match kleene(op, lv, rv) {
                         Some(v) => out.push(v),
                         None => {
@@ -1020,16 +916,15 @@ fn eval_binary_vec(
             ks.fallback_rows += n as u64;
             let mut b = ColumnBuilder::new(DataType::Bool, n);
             for k in 0..n {
-                let (li, ri) = (l.map(sel, k), r.map(sel, k));
-                let lv = if lc.is_null(li) {
+                let lv = if lc.is_null(k) {
                     None
                 } else {
-                    lc.value(li).as_bool()
+                    lc.value(k).as_bool()
                 };
-                let rv = if rc.is_null(ri) {
+                let rv = if rc.is_null(k) {
                     None
                 } else {
-                    rc.value(ri).as_bool()
+                    rc.value(k).as_bool()
                 };
                 match kleene(op, lv, rv) {
                     Some(v) => b.push(&Value::Bool(v))?,
@@ -1049,14 +944,13 @@ fn eval_binary_vec(
                 let mut validity = Bitmap::new(n, true);
                 let mut has_null = false;
                 for k in 0..n {
-                    let (li, ri) = (l.map(sel, k), r.map(sel, k));
-                    if lc.is_null(li) || rc.is_null(ri) {
+                    if lc.is_null(k) || rc.is_null(k) {
                         validity.set(k, false);
                         has_null = true;
                         out.push(0);
                         continue;
                     }
-                    let (x, y) = (la[li], ra[ri]);
+                    let (x, y) = (la[k], ra[k]);
                     let v = match op {
                         BinaryOp::Plus => x.checked_add(y),
                         BinaryOp::Minus => x.checked_sub(y),
@@ -1080,14 +974,13 @@ fn eval_binary_vec(
                 let mut validity = Bitmap::new(n, true);
                 let mut has_null = false;
                 for k in 0..n {
-                    let (li, ri) = (l.map(sel, k), r.map(sel, k));
-                    if lc.is_null(li) || rc.is_null(ri) {
+                    if lc.is_null(k) || rc.is_null(k) {
                         validity.set(k, false);
                         has_null = true;
                         out.push(0.0);
                         continue;
                     }
-                    let (x, y) = (ln.get(li), rn.get(ri));
+                    let (x, y) = (ln.get(k), rn.get(k));
                     let v = match op {
                         BinaryOp::Plus => x + y,
                         BinaryOp::Minus => x - y,
@@ -1112,8 +1005,7 @@ fn eval_binary_vec(
             ks.fallback_rows += n as u64;
             let mut b = ColumnBuilder::new(DataType::Double, n);
             for k in 0..n {
-                let (li, ri) = (l.map(sel, k), r.map(sel, k));
-                let (lv, rv) = (lc.value(li), rc.value(ri));
+                let (lv, rv) = (lc.value(k), rc.value(k));
                 if lv.is_null() || rv.is_null() {
                     b.push_null();
                     continue;
@@ -1167,14 +1059,12 @@ fn kleene(op: BinaryOp, lv: Option<bool>, rv: Option<bool>) -> Option<bool> {
 /// type once (structural equality means cross-type elements can never hit),
 /// then probe native values.
 fn eval_in_vec(
-    op: &Operand<'_>,
+    c: &Column,
     set: &HashSet<Value>,
     negated: bool,
-    sel: Option<&[u32]>,
     n: usize,
     ks: &mut KernelStats,
 ) -> Result<Column> {
-    let c = op.col();
     let mut out = Vec::with_capacity(n);
     let mut validity = Bitmap::new(n, true);
     let mut has_null = false;
@@ -1183,13 +1073,12 @@ fn eval_in_vec(
             ks.kernel_ops += n as u64;
             let vals = $vals;
             for k in 0..n {
-                let i = op.map(sel, k);
-                if c.is_null(i) {
+                if c.is_null(k) {
                     validity.set(k, false);
                     has_null = true;
                     out.push(false);
                 } else {
-                    let hit: bool = $hit(&vals[i]);
+                    let hit: bool = $hit(&vals[k]);
                     out.push(hit != negated);
                 }
             }

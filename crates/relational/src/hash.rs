@@ -8,7 +8,7 @@
 //! * [`encode_keys`] — turns the key columns of a batch into an
 //!   [`EncodedKeys`] block: one contiguous byte arena of *normalized keys*
 //!   plus one 64-bit hash per row, computed column-at-a-time over the native
-//!   `ColumnData` slices (selection-vector aware). Normalization guarantees
+//!   `ColumnData` slices. Normalization guarantees
 //!   **byte equality ⟺ structural `Value` equality**, so downstream tables
 //!   never touch `Value` again — equality is a memcmp.
 //! * [`RawKeyTable`] — an open-addressing table whose entries are
@@ -43,9 +43,9 @@ use crate::column::{Column, ColumnData};
 use crate::error::{Error, Result};
 use crate::value::Value;
 
-/// Work counters for the hash path. Chunk-size and parallelism independent
-/// (hashing happens inside breaker operators over fully collected input), so
-/// they are safe to gate on in CI.
+/// Work counters for the hash path. Parallelism independent (hashing
+/// happens inside breaker operators over their whole input), so they are
+/// safe to gate on in CI.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HashStats {
     /// Per-value hash computations (rows × key columns).
@@ -219,47 +219,21 @@ fn fixed_width(data: &ColumnData) -> Option<usize> {
     }
 }
 
-/// Map a logical row index through the optional selection vector.
-#[inline]
-fn phys(sel: Option<&[u32]>, k: usize) -> usize {
-    match sel {
-        Some(rows) => rows[k] as usize,
-        None => k,
-    }
-}
-
-/// Encode the key columns of `rows` logical rows into an [`EncodedKeys`]
-/// block. `sel`, when present, maps logical row `k` to the physical
-/// (window-relative) row of every column — the same convention the
-/// expression kernels use; dense columns (e.g. from [`Expr::evaluate`],
-/// which already resolves the batch selection) pass `None`.
+/// Encode the first `rows` rows of the key columns into an
+/// [`EncodedKeys`] block.
 ///
 /// With zero key columns every row encodes to the empty key (one group) —
 /// the global-aggregation case.
-///
-/// [`Expr::evaluate`]: crate::expr::Expr::evaluate
 pub fn encode_keys(
     cols: &[Column],
-    sel: Option<&[u32]>,
     rows: usize,
     nulls: NullKeys,
     stats: &mut HashStats,
 ) -> Result<EncodedKeys> {
-    if let Some(s) = sel {
-        if s.len() != rows {
-            return Err(Error::Internal(format!(
-                "encode_keys: selection length {} != rows {rows}",
-                s.len()
-            )));
-        }
-    }
-    let need = sel
-        .and_then(|s| s.iter().max().map(|&m| m as usize + 1))
-        .unwrap_or(rows);
     for c in cols {
-        if c.len() < need {
+        if c.len() < rows {
             return Err(Error::Internal(format!(
-                "encode_keys: key column of {} rows, need {need}",
+                "encode_keys: key column of {} rows, need {rows}",
                 c.len()
             )));
         }
@@ -300,46 +274,43 @@ pub fn encode_keys(
                 ColumnData::Bool(_) => {
                     let vals = c.bool_values().expect("bool column");
                     for (k, h) in hashes.iter_mut().enumerate() {
-                        let i = phys(sel, k);
                         let base = k * stride + col_off;
-                        if nullable && c.is_null(i) {
+                        if nullable && c.is_null(k) {
                             *h = combine(*h, hash_null());
                             mark_null(&mut non_joinable, &mut alloc_events, k);
                         } else {
                             bytes[base] = TAG_BOOL;
-                            bytes[base + 1] = vals[i] as u8;
-                            *h = combine(*h, hash_bool(vals[i]));
+                            bytes[base + 1] = vals[k] as u8;
+                            *h = combine(*h, hash_bool(vals[k]));
                         }
                     }
                 }
                 ColumnData::Int(_) => {
                     let vals = c.int_values().expect("int column");
                     for (k, h) in hashes.iter_mut().enumerate() {
-                        let i = phys(sel, k);
                         let base = k * stride + col_off;
-                        if nullable && c.is_null(i) {
+                        if nullable && c.is_null(k) {
                             *h = combine(*h, hash_null());
                             mark_null(&mut non_joinable, &mut alloc_events, k);
                         } else {
                             bytes[base] = TAG_INT;
-                            bytes[base + 1..base + 9].copy_from_slice(&vals[i].to_le_bytes());
-                            *h = combine(*h, hash_int(vals[i]));
+                            bytes[base + 1..base + 9].copy_from_slice(&vals[k].to_le_bytes());
+                            *h = combine(*h, hash_int(vals[k]));
                         }
                     }
                 }
                 ColumnData::Double(_) => {
                     let vals = c.double_values().expect("double column");
                     for (k, h) in hashes.iter_mut().enumerate() {
-                        let i = phys(sel, k);
                         let base = k * stride + col_off;
-                        if nullable && c.is_null(i) {
+                        if nullable && c.is_null(k) {
                             *h = combine(*h, hash_null());
                             mark_null(&mut non_joinable, &mut alloc_events, k);
                         } else {
                             bytes[base] = TAG_DOUBLE;
                             bytes[base + 1..base + 9]
-                                .copy_from_slice(&vals[i].to_bits().to_le_bytes());
-                            *h = combine(*h, hash_double(vals[i]));
+                                .copy_from_slice(&vals[k].to_bits().to_le_bytes());
+                            *h = combine(*h, hash_double(vals[k]));
                         }
                     }
                 }
@@ -359,11 +330,10 @@ pub fn encode_keys(
                     let vals = c.str_values().expect("str column");
                     let nullable = c.has_nulls();
                     for (k, o) in offsets[1..].iter_mut().enumerate() {
-                        let i = phys(sel, k);
-                        *o += if nullable && c.is_null(i) {
+                        *o += if nullable && c.is_null(k) {
                             1
                         } else {
-                            1 + 4 + vals[i].len() as u32
+                            1 + 4 + vals[k].len() as u32
                         };
                     }
                 }
@@ -371,7 +341,7 @@ pub fn encode_keys(
                     let w = fixed_width(other).expect("non-str is fixed width") as u32;
                     if c.has_nulls() {
                         for (k, o) in offsets[1..].iter_mut().enumerate() {
-                            *o += if c.is_null(phys(sel, k)) { 1 } else { w };
+                            *o += if c.is_null(k) { 1 } else { w };
                         }
                     } else {
                         for o in &mut offsets[1..] {
@@ -399,74 +369,70 @@ pub fn encode_keys(
                 ColumnData::Bool(_) => {
                     let vals = c.bool_values().expect("bool column");
                     for (k, h) in hashes.iter_mut().enumerate() {
-                        let i = phys(sel, k);
                         let at = cursor[k] as usize;
-                        if nullable && c.is_null(i) {
+                        if nullable && c.is_null(k) {
                             bytes[at] = TAG_NULL;
                             cursor[k] += 1;
                             *h = combine(*h, hash_null());
                             mark_null(&mut non_joinable, &mut alloc_events, k);
                         } else {
                             bytes[at] = TAG_BOOL;
-                            bytes[at + 1] = vals[i] as u8;
+                            bytes[at + 1] = vals[k] as u8;
                             cursor[k] += 2;
-                            *h = combine(*h, hash_bool(vals[i]));
+                            *h = combine(*h, hash_bool(vals[k]));
                         }
                     }
                 }
                 ColumnData::Int(_) => {
                     let vals = c.int_values().expect("int column");
                     for (k, h) in hashes.iter_mut().enumerate() {
-                        let i = phys(sel, k);
                         let at = cursor[k] as usize;
-                        if nullable && c.is_null(i) {
+                        if nullable && c.is_null(k) {
                             bytes[at] = TAG_NULL;
                             cursor[k] += 1;
                             *h = combine(*h, hash_null());
                             mark_null(&mut non_joinable, &mut alloc_events, k);
                         } else {
                             bytes[at] = TAG_INT;
-                            bytes[at + 1..at + 9].copy_from_slice(&vals[i].to_le_bytes());
+                            bytes[at + 1..at + 9].copy_from_slice(&vals[k].to_le_bytes());
                             cursor[k] += 9;
-                            *h = combine(*h, hash_int(vals[i]));
+                            *h = combine(*h, hash_int(vals[k]));
                         }
                     }
                 }
                 ColumnData::Double(_) => {
                     let vals = c.double_values().expect("double column");
                     for (k, h) in hashes.iter_mut().enumerate() {
-                        let i = phys(sel, k);
                         let at = cursor[k] as usize;
-                        if nullable && c.is_null(i) {
+                        if nullable && c.is_null(k) {
                             bytes[at] = TAG_NULL;
                             cursor[k] += 1;
                             *h = combine(*h, hash_null());
                             mark_null(&mut non_joinable, &mut alloc_events, k);
                         } else {
                             bytes[at] = TAG_DOUBLE;
-                            bytes[at + 1..at + 9].copy_from_slice(&vals[i].to_bits().to_le_bytes());
+                            bytes[at + 1..at + 9].copy_from_slice(&vals[k].to_bits().to_le_bytes());
                             cursor[k] += 9;
-                            *h = combine(*h, hash_double(vals[i]));
+                            *h = combine(*h, hash_double(vals[k]));
                         }
                     }
                 }
                 ColumnData::Str(_) => {
                     let vals = c.str_values().expect("str column");
                     for (k, h) in hashes.iter_mut().enumerate() {
-                        let i = phys(sel, k);
                         let at = cursor[k] as usize;
-                        if nullable && c.is_null(i) {
+                        if nullable && c.is_null(k) {
                             bytes[at] = TAG_NULL;
                             cursor[k] += 1;
                             *h = combine(*h, hash_null());
                             mark_null(&mut non_joinable, &mut alloc_events, k);
                         } else {
-                            let s = vals[i].as_bytes();
+                            let s = vals[k].as_bytes();
                             bytes[at] = TAG_STR;
                             bytes[at + 1..at + 5].copy_from_slice(&(s.len() as u32).to_le_bytes());
                             bytes[at + 5..at + 5 + s.len()].copy_from_slice(s);
                             cursor[k] += 5 + s.len() as u32;
-                            *h = combine(*h, hash_str(&vals[i]));
+                            *h = combine(*h, hash_str(&vals[k]));
                         }
                     }
                 }
@@ -672,15 +638,8 @@ mod tests {
         let ints = col(DataType::Int, &[Value::Int(7), Value::Int(-1)]);
         let strs = col(DataType::Str, &[Value::str("a"), Value::str("b")]);
         let mut st = HashStats::default();
-        let fixed = encode_keys(
-            std::slice::from_ref(&ints),
-            None,
-            2,
-            NullKeys::Match,
-            &mut st,
-        )
-        .unwrap();
-        let var = encode_keys(&[ints, strs], None, 2, NullKeys::Match, &mut st).unwrap();
+        let fixed = encode_keys(std::slice::from_ref(&ints), 2, NullKeys::Match, &mut st).unwrap();
+        let var = encode_keys(&[ints, strs], 2, NullKeys::Match, &mut st).unwrap();
         // Int part of the var-layout key equals the whole fixed-layout key.
         assert_eq!(&var.key(0)[..9], fixed.key(0));
         assert_eq!(&var.key(1)[..9], fixed.key(1));
@@ -706,7 +665,7 @@ mod tests {
             &rows.iter().map(|r| r[1].clone()).collect::<Vec<_>>(),
         );
         let mut st = HashStats::default();
-        let ek = encode_keys(&[c0, c1], None, rows.len(), NullKeys::Match, &mut st).unwrap();
+        let ek = encode_keys(&[c0, c1], rows.len(), NullKeys::Match, &mut st).unwrap();
         for i in 0..rows.len() {
             for j in 0..rows.len() {
                 assert_eq!(
@@ -742,7 +701,7 @@ mod tests {
             ),
         ];
         let mut st = HashStats::default();
-        let ek = encode_keys(&cols, None, rows.len(), NullKeys::Match, &mut st).unwrap();
+        let ek = encode_keys(&cols, rows.len(), NullKeys::Match, &mut st).unwrap();
         let mut buf = Vec::new();
         for (i, row) in rows.iter().enumerate() {
             let h = encode_value_row(row, &mut buf);
@@ -752,35 +711,34 @@ mod tests {
     }
 
     #[test]
-    fn selection_vector_is_honored() {
+    fn column_window_offset_is_honored() {
         let c = col(
             DataType::Int,
             &[Value::Int(10), Value::Int(20), Value::Int(30)],
         );
-        let sel: Vec<u32> = vec![2, 0];
         let mut st = HashStats::default();
-        let ek = encode_keys(&[c], Some(&sel), 2, NullKeys::Match, &mut st).unwrap();
+        let ek = encode_keys(&[c.slice(1, 2)], 2, NullKeys::Match, &mut st).unwrap();
         let mut buf = Vec::new();
-        assert_eq!(encode_value_row(&[Value::Int(30)], &mut buf), ek.hash(0));
+        assert_eq!(encode_value_row(&[Value::Int(20)], &mut buf), ek.hash(0));
         assert_eq!(buf.as_slice(), ek.key(0));
-        assert_eq!(encode_value_row(&[Value::Int(10)], &mut buf), ek.hash(1));
+        assert_eq!(encode_value_row(&[Value::Int(30)], &mut buf), ek.hash(1));
     }
 
     #[test]
     fn null_policy_never_marks_rows_non_joinable() {
         let c = col(DataType::Int, &[Value::Int(1), Value::Null]);
         let mut st = HashStats::default();
-        let ek = encode_keys(std::slice::from_ref(&c), None, 2, NullKeys::Never, &mut st).unwrap();
+        let ek = encode_keys(std::slice::from_ref(&c), 2, NullKeys::Never, &mut st).unwrap();
         assert!(ek.is_joinable(0));
         assert!(!ek.is_joinable(1));
-        let ek = encode_keys(&[c], None, 2, NullKeys::Match, &mut st).unwrap();
+        let ek = encode_keys(&[c], 2, NullKeys::Match, &mut st).unwrap();
         assert!(ek.is_joinable(1));
     }
 
     #[test]
     fn zero_key_columns_form_one_group() {
         let mut st = HashStats::default();
-        let ek = encode_keys(&[], None, 3, NullKeys::Match, &mut st).unwrap();
+        let ek = encode_keys(&[], 3, NullKeys::Match, &mut st).unwrap();
         assert_eq!(ek.rows(), 3);
         assert_eq!(ek.key(0), ek.key(2));
         assert_eq!(ek.hash(0), ek.hash(2));
@@ -795,7 +753,6 @@ mod tests {
             let mut st = HashStats::default();
             let ek = encode_keys(
                 &[col(DataType::Int, &vals), col(DataType::Double, &dbls)],
-                None,
                 n,
                 NullKeys::Match,
                 &mut st,

@@ -154,7 +154,7 @@ fn hash_join_vectorized(
         .map(|k| k.evaluate(right))
         .collect::<Result<_>>()?;
     let rn = right.num_rows();
-    let rkeys = encode_keys(&rcols, None, rn, NullKeys::Never, &mut hash)?;
+    let rkeys = encode_keys(&rcols, rn, NullKeys::Never, &mut hash)?;
     let mut table = RawKeyTable::with_capacity(rn);
     let mut slot_of_row: Vec<u32> = Vec::with_capacity(rn);
     let mut counts: Vec<u32> = Vec::new();
@@ -193,7 +193,7 @@ fn hash_join_vectorized(
         .map(|k| k.evaluate(left))
         .collect::<Result<_>>()?;
     let ln = left.num_rows();
-    let lkeys = encode_keys(&lcols, None, ln, NullKeys::Never, &mut hash)?;
+    let lkeys = encode_keys(&lcols, ln, NullKeys::Never, &mut hash)?;
     let mut probes: u64 = 0;
     let batch = match join_type {
         JoinType::Inner => {

@@ -21,7 +21,7 @@ impl PhysicalOperator for PhysicalDistinct {
     }
 
     fn execute_op(&self, ctx: &mut ExecContext<'_>) -> Result<Batch> {
-        let b = super::collect_input(self.input.as_ref(), ctx)?;
+        let b = self.input.execute(ctx)?;
         // Each input row is hashed against the seen-set once.
         ctx.metrics.add_comparisons(b.num_rows() as u64);
         let mut hash = HashStats::default();

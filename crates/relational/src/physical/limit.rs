@@ -1,11 +1,8 @@
 //! Row-count truncation.
 
-use super::metrics::FrameId;
-use super::{ChunkStream, ExecContext, PhysicalOperator};
+use super::{ExecContext, PhysicalOperator};
 use crate::batch::Batch;
 use crate::error::Result;
-use crate::schema::SchemaRef;
-use std::time::Instant;
 
 #[derive(Debug)]
 pub struct PhysicalLimit {
@@ -28,84 +25,7 @@ impl PhysicalOperator for PhysicalLimit {
 
     fn execute_op(&self, ctx: &mut ExecContext<'_>) -> Result<Batch> {
         let b = self.input.execute(ctx)?;
-        let n = b.num_rows().min(self.fetch);
-        let idx: Vec<usize> = (0..n).collect();
-        Ok(b.take(&idx))
-    }
-
-    fn open_chunks<'a>(&'a self, ctx: &mut ExecContext<'_>) -> Result<Box<dyn ChunkStream + 'a>> {
-        ctx.budget.check()?;
-        let id = ctx.metrics.enter(self.name(), self.label());
-        let start = Instant::now();
-        let child = match self.input.open_chunks(ctx) {
-            Ok(c) => c,
-            Err(e) => {
-                ctx.metrics.exit(0, start.elapsed().as_nanos() as u64);
-                return Err(e);
-            }
-        };
-        Ok(Box::new(LimitStream {
-            child,
-            remaining: self.fetch,
-            id,
-            rows_out: 0,
-            nanos: start.elapsed().as_nanos() as u64,
-        }))
-    }
-}
-
-/// Streaming limit: stops pulling its child as soon as the fetch count is
-/// satisfied — the one place the chunked pipeline legitimately does *less*
-/// upstream work than the materialized path.
-struct LimitStream<'a> {
-    child: Box<dyn ChunkStream + 'a>,
-    remaining: usize,
-    id: FrameId,
-    rows_out: u64,
-    nanos: u64,
-}
-
-impl ChunkStream for LimitStream<'_> {
-    fn schema(&self) -> SchemaRef {
-        self.child.schema()
-    }
-
-    fn next_chunk(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
-        ctx.budget.check()?;
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        let start = Instant::now();
-        let chunk = match self.child.next_chunk(ctx) {
-            Ok(Some(c)) => c,
-            Ok(None) => {
-                self.remaining = 0;
-                self.nanos += start.elapsed().as_nanos() as u64;
-                return Ok(None);
-            }
-            Err(e) => {
-                self.nanos += start.elapsed().as_nanos() as u64;
-                return Err(e);
-            }
-        };
-        let out = if chunk.num_rows() > self.remaining {
-            chunk.slice(0, self.remaining)
-        } else {
-            chunk
-        };
-        self.remaining -= out.num_rows();
-        ctx.metrics.record_chunk(self.id, 0);
-        ctx.stats.batches_processed += 1;
-        let rows = out.num_rows() as u64;
-        self.rows_out += rows;
-        ctx.rows_emitted += rows;
-        self.nanos += start.elapsed().as_nanos() as u64;
-        ctx.budget.check_rows(ctx.rows_emitted)?;
-        Ok(Some(out))
-    }
-
-    fn close(&mut self, ctx: &mut ExecContext<'_>) {
-        self.child.close(ctx);
-        ctx.metrics.exit(self.rows_out, self.nanos);
+        // A zero-copy window over the first `fetch` rows.
+        Ok(b.slice(0, b.num_rows().min(self.fetch)))
     }
 }

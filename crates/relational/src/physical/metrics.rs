@@ -13,8 +13,11 @@
 //!   [`ExecOptions::parallelism`](super::ExecOptions), and the quantities
 //!   the CI perf-regression gate diffs;
 //! * **timing** — inclusive wall-clock nanoseconds per operator (children
-//!   included, as in PostgreSQL's `EXPLAIN ANALYZE`). Reported, never
-//!   gated and never part of equality: timings change run to run.
+//!   included, as in PostgreSQL's `EXPLAIN ANALYZE`). Every operator runs
+//!   its children to completion inside its own frame, so an operator's
+//!   self time is exactly its inclusive time minus its children's.
+//!   Reported, never gated and never part of equality: timings change run
+//!   to run.
 //!
 //! [`OperatorMetrics::deterministic`] projects a node tree onto only the
 //! former, which is what tests compare across parallelism levels.
@@ -50,14 +53,6 @@ pub struct OperatorMetrics {
     pub segments_pruned: u64,
     /// Segments that survived pruning.
     pub segments_scanned: u64,
-    /// Chunks this operator emitted on the streaming path (0 when the
-    /// operator ran materialized). A pure function of plan + data +
-    /// chunk size: identical at any parallelism.
-    pub batches_processed: u64,
-    /// Column gathers skipped because a filter marked survivors with a
-    /// selection vector instead of copying column data (one per column per
-    /// selection-carrying chunk).
-    pub selection_avoided_copies: u64,
     /// Per-value hash computations by the vectorized hash kernels (rows ×
     /// key columns for joins, aggregation, and DISTINCT). 0 for operators
     /// that never hash.
@@ -88,8 +83,6 @@ pub struct DeterministicMetrics {
     pub segments_total: u64,
     pub segments_pruned: u64,
     pub segments_scanned: u64,
-    pub batches_processed: u64,
-    pub selection_avoided_copies: u64,
     pub hash_ops: u64,
     pub hash_collisions: u64,
     pub probe_memcmps: u64,
@@ -110,8 +103,6 @@ impl OperatorMetrics {
             segments_total: self.segments_total,
             segments_pruned: self.segments_pruned,
             segments_scanned: self.segments_scanned,
-            batches_processed: self.batches_processed,
-            selection_avoided_copies: self.selection_avoided_copies,
             hash_ops: self.hash_ops,
             hash_collisions: self.hash_collisions,
             probe_memcmps: self.probe_memcmps,
@@ -140,8 +131,6 @@ impl OperatorMetrics {
         self.segments_total += other.segments_total;
         self.segments_pruned += other.segments_pruned;
         self.segments_scanned += other.segments_scanned;
-        self.batches_processed += other.batches_processed;
-        self.selection_avoided_copies += other.selection_avoided_copies;
         self.hash_ops += other.hash_ops;
         self.hash_collisions += other.hash_collisions;
         self.probe_memcmps += other.probe_memcmps;
@@ -191,16 +180,6 @@ impl OperatorMetrics {
                     m.segments_total, m.segments_pruned, m.segments_scanned
                 );
             }
-            if m.batches_processed > 0 {
-                let _ = write!(out, " batches={}", m.batches_processed);
-            }
-            if m.selection_avoided_copies > 0 {
-                let _ = write!(
-                    out,
-                    " selection_avoided_copies={}",
-                    m.selection_avoided_copies
-                );
-            }
             if m.hash_ops > 0 {
                 let _ = write!(
                     out,
@@ -234,8 +213,6 @@ impl OperatorMetrics {
             .set("segments_total", self.segments_total)
             .set("segments_pruned", self.segments_pruned)
             .set("segments_scanned", self.segments_scanned)
-            .set("batches_processed", self.batches_processed)
-            .set("selection_avoided_copies", self.selection_avoided_copies)
             .set("hash_ops", self.hash_ops)
             .set("hash_collisions", self.hash_collisions)
             .set("probe_memcmps", self.probe_memcmps)
@@ -255,19 +232,9 @@ impl OperatorMetrics {
     }
 }
 
-/// Addressable handle for an open metrics frame, returned by
-/// [`MetricsCollector::enter`]. Streaming operators hold their frame's id so
-/// interleaved `next_chunk` calls can record work against the right node —
-/// the innermost-frame `add_*` methods would misattribute it (while a
-/// pipeline streams, the stack holds every operator in the pipeline, with
-/// the source on top).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameId(u64);
-
 /// One operator frame while its `execute` is on the stack.
 #[derive(Debug)]
 struct PendingNode {
-    id: u64,
     name: &'static str,
     label: String,
     /// Explicitly recorded input rows (scans); defaults to the sum of the
@@ -278,8 +245,6 @@ struct PendingNode {
     segments_total: u64,
     segments_pruned: u64,
     segments_scanned: u64,
-    batches_processed: u64,
-    selection_avoided_copies: u64,
     hash: HashStats,
     children: Vec<OperatorMetrics>,
 }
@@ -293,7 +258,6 @@ struct PendingNode {
 pub struct MetricsCollector {
     stack: Vec<PendingNode>,
     root: Option<OperatorMetrics>,
-    next_id: u64,
 }
 
 impl MetricsCollector {
@@ -301,13 +265,9 @@ impl MetricsCollector {
         MetricsCollector::default()
     }
 
-    /// Open a frame for an operator about to execute (or stream). The
-    /// returned id addresses this frame until its matching `exit`.
-    pub fn enter(&mut self, name: &'static str, label: String) -> FrameId {
-        let id = self.next_id;
-        self.next_id += 1;
+    /// Open a frame for an operator about to execute.
+    pub fn enter(&mut self, name: &'static str, label: String) {
         self.stack.push(PendingNode {
-            id,
             name,
             label,
             rows_in: None,
@@ -316,12 +276,9 @@ impl MetricsCollector {
             segments_total: 0,
             segments_pruned: 0,
             segments_scanned: 0,
-            batches_processed: 0,
-            selection_avoided_copies: 0,
             hash: HashStats::default(),
             children: Vec::new(),
         });
-        FrameId(id)
     }
 
     /// Close the innermost frame, attaching it to its parent (or making it
@@ -344,8 +301,6 @@ impl MetricsCollector {
             segments_total: node.segments_total,
             segments_pruned: node.segments_pruned,
             segments_scanned: node.segments_scanned,
-            batches_processed: node.batches_processed,
-            selection_avoided_copies: node.selection_avoided_copies,
             hash_ops: node.hash.hash_ops,
             hash_collisions: node.hash.hash_collisions,
             probe_memcmps: node.hash.probe_memcmps,
@@ -395,28 +350,6 @@ impl MetricsCollector {
             top.segments_total += total;
             top.segments_pruned += pruned;
             top.segments_scanned += scanned;
-        }
-    }
-
-    fn frame_mut(&mut self, id: FrameId) -> Option<&mut PendingNode> {
-        self.stack.iter_mut().rev().find(|n| n.id == id.0)
-    }
-
-    /// Record elementary work units against a specific open frame — used by
-    /// streaming operators whose frames are not the innermost while the
-    /// pipeline runs.
-    pub fn add_comparisons_to(&mut self, id: FrameId, n: u64) {
-        if let Some(f) = self.frame_mut(id) {
-            f.comparisons += n;
-        }
-    }
-
-    /// Record one emitted chunk (and any column gathers it avoided by
-    /// carrying a selection vector) against a specific open frame.
-    pub fn record_chunk(&mut self, id: FrameId, avoided_copies: u64) {
-        if let Some(f) = self.frame_mut(id) {
-            f.batches_processed += 1;
-            f.selection_avoided_copies += avoided_copies;
         }
     }
 

@@ -17,6 +17,15 @@
 //!   [`ExecOptions::parallelism`] > 1, with byte-identical results and
 //!   identical merged [`ExecStats`] at any parallelism).
 //!
+//! There is one execution model: every operator materializes its full
+//! output as one [`Batch`] through the instrumented
+//! [`PhysicalOperator::execute`]. The cleansing plans are chains of pipeline
+//! breakers (sort, window, join, aggregate), so a streaming pipeline would
+//! only span the short scan → filter → project stretches between them.
+//! Batches stay cheap to pass along anyway: column windows are shared
+//! `(Arc, offset, len)` views, so [`Batch::slice`] and re-schemaing copy no
+//! cell data, and predicates run on typed column kernels.
+//!
 //! Operators execute against an [`ExecContext`], which carries the catalog,
 //! the execution options, the deterministic work counters, and a separate
 //! wall-clock channel for window evaluation (timings may differ across
@@ -38,7 +47,7 @@ pub mod union;
 pub mod window;
 
 pub use lower::lower;
-pub use metrics::{DeterministicMetrics, FrameId, MetricsCollector, OperatorMetrics};
+pub use metrics::{DeterministicMetrics, MetricsCollector, OperatorMetrics};
 
 use crate::batch::Batch;
 use crate::error::{AbortReason, Error, Result};
@@ -49,7 +58,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Per-query robustness controls, checked cooperatively at operator batch
+/// Per-query robustness controls, checked cooperatively at operator
 /// boundaries (and per window partition on the Φ_C hot path).
 ///
 /// A tripped budget aborts the query with a typed
@@ -142,14 +151,6 @@ pub struct ExecOptions {
     /// cleansing window path). `1` means serial. Parallelism never changes
     /// results or work counters — only wall-clock.
     pub parallelism: usize,
-    /// Morsel size for the streaming [`ChunkStream`] pipeline: streaming
-    /// operators pull batches of at most this many rows. `0` disables
-    /// streaming entirely — every operator materializes through
-    /// [`PhysicalOperator::execute`], which is the equivalence oracle the
-    /// vectorized path is tested against. Chunk size never changes results
-    /// or deterministic counters other than `batches_processed` /
-    /// `selection_avoided_copies` (which count chunks, not rows).
-    pub chunk_rows: usize,
     /// Run hash-keyed operators (join, aggregation, DISTINCT) on the
     /// retained row-wise `Vec<Value>` path instead of the vectorized hash
     /// kernels. The equivalence oracle for the property suite — results are
@@ -157,14 +158,10 @@ pub struct ExecOptions {
     pub rowwise_hash: bool,
 }
 
-/// Default morsel size for the streaming pipeline (rows per chunk).
-pub const DEFAULT_CHUNK_ROWS: usize = 1024;
-
 impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
             parallelism: 1,
-            chunk_rows: DEFAULT_CHUNK_ROWS,
             rowwise_hash: false,
         }
     }
@@ -176,12 +173,6 @@ impl ExecOptions {
             parallelism: parallelism.max(1),
             ..ExecOptions::default()
         }
-    }
-
-    /// Override the streaming morsel size (`0` = fully materialized).
-    pub fn with_chunk_rows(mut self, chunk_rows: usize) -> Self {
-        self.chunk_rows = chunk_rows;
-        self
     }
 
     /// Select the row-wise `Vec<Value>` hash path (the equivalence oracle).
@@ -286,130 +277,6 @@ pub trait PhysicalOperator: std::fmt::Debug {
             ctx.budget.check_rows(ctx.rows_emitted)?;
         }
         result
-    }
-
-    /// Streaming entry point: open a pull-based [`ChunkStream`] over this
-    /// operator's output. The default falls back to the materialized
-    /// [`execute`](PhysicalOperator::execute) (budget charging and metrics
-    /// included) and serves the result back in `ctx.options.chunk_rows`
-    /// slices; streaming operators (scan, filter, project, limit, alias)
-    /// override it to pull morsels end-to-end without materializing.
-    ///
-    /// Contract for native implementations:
-    /// * `open_chunks` checks the budget, enters this operator's metrics
-    ///   frame (before opening children, so frames nest outer→inner), and
-    ///   does any one-time setup.
-    /// * `next_chunk` checks the budget, pulls/produces at most
-    ///   `chunk_rows` logical rows, records per-chunk work against the
-    ///   operator's [`metrics::FrameId`], and charges emitted rows against
-    ///   the row budget.
-    /// * `close` closes children first, then exits this operator's frame
-    ///   with its accumulated rows and inclusive wall-clock — frames pop
-    ///   LIFO, so the metrics tree is identical in shape to the
-    ///   materialized path's.
-    fn open_chunks<'a>(&'a self, ctx: &mut ExecContext<'_>) -> Result<Box<dyn ChunkStream + 'a>> {
-        let batch = self.execute(ctx)?;
-        Ok(Box::new(MaterializedStream::new(
-            batch,
-            ctx.options.chunk_rows,
-        )))
-    }
-}
-
-/// A pull-based stream of row chunks ("morsels") from a physical operator.
-///
-/// Chunks carry at most [`ExecOptions::chunk_rows`] logical rows and may
-/// carry a selection vector (see [`Batch::selection`]) — consumers must go
-/// through the logical-row APIs (`num_rows`, `row`, `take`, `flatten`) or
-/// honor the selection explicitly. `next_chunk` returning `Ok(None)` means
-/// the stream is exhausted; `close` must be called exactly once (including
-/// after an error) so metrics frames stay balanced.
-pub trait ChunkStream {
-    /// Output schema, available before the first chunk.
-    fn schema(&self) -> crate::schema::SchemaRef;
-
-    /// Pull the next chunk, or `None` when exhausted.
-    fn next_chunk(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>>;
-
-    /// Release the stream: close children, then exit this operator's
-    /// metrics frame. Idempotence is not required — call exactly once.
-    fn close(&mut self, ctx: &mut ExecContext<'_>);
-}
-
-/// Fallback stream over an already-materialized batch: serves zero-copy
-/// [`Batch::slice`] windows of `chunk_rows` rows. Does not re-charge the
-/// row budget (the materializing `execute` already did) and owns no
-/// metrics frame (ditto).
-pub struct MaterializedStream {
-    batch: Batch,
-    chunk_rows: usize,
-    pos: usize,
-}
-
-impl MaterializedStream {
-    pub fn new(batch: Batch, chunk_rows: usize) -> Self {
-        MaterializedStream {
-            batch,
-            chunk_rows,
-            pos: 0,
-        }
-    }
-}
-
-impl ChunkStream for MaterializedStream {
-    fn schema(&self) -> crate::schema::SchemaRef {
-        self.batch.schema().clone()
-    }
-
-    fn next_chunk(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
-        ctx.budget.check()?;
-        let total = self.batch.num_rows();
-        if self.pos >= total {
-            return Ok(None);
-        }
-        let len = if self.chunk_rows == 0 {
-            total - self.pos
-        } else {
-            self.chunk_rows.min(total - self.pos)
-        };
-        let chunk = self.batch.slice(self.pos, len);
-        self.pos += len;
-        Ok(Some(chunk))
-    }
-
-    fn close(&mut self, _ctx: &mut ExecContext<'_>) {}
-}
-
-/// Drain an operator's full output, streaming when the pipeline is enabled.
-///
-/// This is how pipeline-breakers (sort, joins, aggregate, distinct, union,
-/// window) and the executor root consume their inputs: with
-/// `chunk_rows == 0` it is exactly the materialized `execute` (the
-/// equivalence oracle); otherwise it pulls the child's chunk stream dry and
-/// compacts the parts into one flat batch.
-pub fn collect_input(op: &dyn PhysicalOperator, ctx: &mut ExecContext<'_>) -> Result<Batch> {
-    if ctx.options.chunk_rows == 0 {
-        return op.execute(ctx);
-    }
-    let mut stream = op.open_chunks(ctx)?;
-    let schema = stream.schema();
-    let mut parts: Vec<Batch> = Vec::new();
-    loop {
-        match stream.next_chunk(ctx) {
-            Ok(Some(chunk)) => parts.push(chunk),
-            Ok(None) => break,
-            Err(e) => {
-                // Close before unwinding so metrics frames stay balanced.
-                stream.close(ctx);
-                return Err(e);
-            }
-        }
-    }
-    stream.close(ctx);
-    match parts.len() {
-        0 => Ok(Batch::empty(schema)),
-        1 => Ok(parts.pop().expect("one part").flatten()),
-        _ => Batch::concat(&parts),
     }
 }
 

@@ -5,19 +5,17 @@
 //! runtime is data-dependent: which candidate fetches the fewest rows on
 //! the actual table, and whether even the best one beats a full scan.
 
-use super::metrics::FrameId;
-use super::{ChunkStream, ExecContext, PhysicalOperator};
+use super::{ExecContext, PhysicalOperator};
 use crate::batch::Batch;
 use crate::error::Result;
-use crate::expr::{filter_chunk, Expr};
+use crate::expr::Expr;
 use crate::index::ScanBound;
-use crate::schema::{Schema, SchemaRef};
+use crate::schema::Schema;
 use crate::segment::candidate_zone_predicate;
 use crate::table::Table;
 use crate::value::Value;
 use dc_storage::{Segment, ZonePredicate};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// One index access the scan may use, fixed at lowering time.
 #[derive(Debug, Clone)]
@@ -64,57 +62,23 @@ impl PhysicalOperator for PhysicalScan {
         vec![]
     }
 
-    fn execute_op(&self, ctx: &mut ExecContext<'_>) -> Result<Batch> {
-        let base = self.fetch_base(ctx)?;
-        let Some(filter) = &self.filter else {
-            return Ok(base);
-        };
-        let keep = filter.filter_indices(&base)?;
-        Ok(base.take(&keep))
-    }
-
-    fn open_chunks<'a>(&'a self, ctx: &mut ExecContext<'_>) -> Result<Box<dyn ChunkStream + 'a>> {
-        ctx.budget.check()?;
-        let id = ctx.metrics.enter(self.name(), self.label());
-        let start = Instant::now();
-        let base = match self.fetch_base(ctx) {
-            Ok(b) => b,
-            Err(e) => {
-                ctx.metrics.exit(0, start.elapsed().as_nanos() as u64);
-                return Err(e);
-            }
-        };
-        Ok(Box::new(ScanStream {
-            base,
-            filter: self.filter.as_ref(),
-            pos: 0,
-            id,
-            rows_out: 0,
-            nanos: start.elapsed().as_nanos() as u64,
-        }))
-    }
-}
-
-impl PhysicalScan {
     /// Fetch the (index/segment-narrowed) base rows under the output
-    /// schema and record the fetch counters. The residual filter — applied
-    /// on top by `execute_op` (gather) or `ScanStream` (selection vector) —
-    /// is deliberately *not* part of this, so both paths account the fetch
-    /// identically.
-    fn fetch_base(&self, ctx: &mut ExecContext<'_>) -> Result<Batch> {
+    /// schema, record the fetch counters, then apply the full pushed-down
+    /// predicate as a residual filter.
+    fn execute_op(&self, ctx: &mut ExecContext<'_>) -> Result<Batch> {
         let t = ctx.catalog.get(&self.table)?;
         let out_schema: Arc<Schema> = match &self.alias {
             Some(a) => Arc::new(t.schema().with_qualifier(a)),
             None => t.schema().clone(),
         };
 
-        if self.filter.is_none() {
+        let Some(filter) = &self.filter else {
             ctx.stats.rows_scanned += t.num_rows() as u64;
             ctx.stats.full_scans += 1;
             ctx.metrics.set_rows_in(t.num_rows() as u64);
             ctx.metrics.add_comparisons(t.num_rows() as u64);
             return t.data().clone().with_schema(out_schema);
-        }
+        };
 
         // Zone-map pruning: the candidates' bounds are necessary conditions
         // of `filter`, so segments whose zones exclude them cannot hold
@@ -158,68 +122,9 @@ impl PhysicalScan {
         // one unit of work.
         ctx.metrics.set_rows_in(base.num_rows() as u64);
         ctx.metrics.add_comparisons(base.num_rows() as u64);
-        base.with_schema(out_schema)
-    }
-}
-
-/// Streaming scan: the (narrowed) base rows are fetched once at open; each
-/// `next_chunk` serves a zero-copy slice, applying the residual filter as a
-/// selection vector instead of gathering survivor columns.
-struct ScanStream<'a> {
-    base: Batch,
-    filter: Option<&'a Expr>,
-    pos: usize,
-    id: FrameId,
-    rows_out: u64,
-    nanos: u64,
-}
-
-impl ChunkStream for ScanStream<'_> {
-    fn schema(&self) -> SchemaRef {
-        self.base.schema().clone()
-    }
-
-    fn next_chunk(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
-        ctx.budget.check()?;
-        let start = Instant::now();
-        let total = self.base.num_rows();
-        if self.pos >= total {
-            self.nanos += start.elapsed().as_nanos() as u64;
-            return Ok(None);
-        }
-        let want = ctx.options.chunk_rows;
-        let len = if want == 0 {
-            total - self.pos
-        } else {
-            want.min(total - self.pos)
-        };
-        let mut chunk = self.base.slice(self.pos, len);
-        self.pos += len;
-        let mut avoided = 0u64;
-        if let Some(pred) = self.filter {
-            let outcome = match filter_chunk(pred, &chunk) {
-                Ok(o) => o,
-                Err(e) => {
-                    self.nanos += start.elapsed().as_nanos() as u64;
-                    return Err(e);
-                }
-            };
-            chunk = chunk.with_selection(outcome.selected);
-            avoided = chunk.num_columns() as u64;
-        }
-        ctx.metrics.record_chunk(self.id, avoided);
-        ctx.stats.batches_processed += 1;
-        ctx.stats.selection_avoided_copies += avoided;
-        let rows = chunk.num_rows() as u64;
-        self.rows_out += rows;
-        ctx.rows_emitted += rows;
-        self.nanos += start.elapsed().as_nanos() as u64;
-        ctx.budget.check_rows(ctx.rows_emitted)?;
-        Ok(Some(chunk))
-    }
-
-    fn close(&mut self, ctx: &mut ExecContext<'_>) {
-        ctx.metrics.exit(self.rows_out, self.nanos);
+        let base = base.with_schema(out_schema)?;
+        let keep = filter.filter_indices(&base)?;
+        Ok(base.take(&keep))
     }
 }
 

@@ -35,8 +35,8 @@ impl PhysicalOperator for PhysicalSemiJoin {
     }
 
     fn execute_op(&self, ctx: &mut ExecContext<'_>) -> Result<Batch> {
-        let l = super::collect_input(self.left.as_ref(), ctx)?;
-        let r = super::collect_input(self.right.as_ref(), ctx)?;
+        let l = self.left.execute(ctx)?;
+        let r = self.right.execute(ctx)?;
         let (out, work) = hash_join_with(
             &l,
             &r,

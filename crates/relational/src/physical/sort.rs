@@ -42,7 +42,7 @@ impl PhysicalOperator for PhysicalSort {
     }
 
     fn execute_op(&self, ctx: &mut ExecContext<'_>) -> Result<Batch> {
-        let b = super::collect_input(self.input.as_ref(), ctx)?;
+        let b = self.input.execute(ctx)?;
         let hint = self.segment_run_hint(ctx, &b);
         let (out, effort) = sort_batch_runs(&b, &self.keys, hint.as_deref())?;
         ctx.stats.rows_sorted += b.num_rows() as u64;

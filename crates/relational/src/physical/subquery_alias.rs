@@ -1,12 +1,9 @@
 //! Schema requalification for derived tables.
 
-use super::metrics::FrameId;
-use super::{ChunkStream, ExecContext, PhysicalOperator};
+use super::{ExecContext, PhysicalOperator};
 use crate::batch::Batch;
 use crate::error::Result;
-use crate::schema::SchemaRef;
 use std::sync::Arc;
-use std::time::Instant;
 
 #[derive(Debug)]
 pub struct PhysicalSubqueryAlias {
@@ -31,77 +28,5 @@ impl PhysicalOperator for PhysicalSubqueryAlias {
         let b = self.input.execute(ctx)?;
         let schema = Arc::new(b.schema().with_qualifier(&self.alias));
         b.with_schema(schema)
-    }
-
-    fn open_chunks<'a>(&'a self, ctx: &mut ExecContext<'_>) -> Result<Box<dyn ChunkStream + 'a>> {
-        ctx.budget.check()?;
-        let id = ctx.metrics.enter(self.name(), self.label());
-        let start = Instant::now();
-        let child = match self.input.open_chunks(ctx) {
-            Ok(c) => c,
-            Err(e) => {
-                ctx.metrics.exit(0, start.elapsed().as_nanos() as u64);
-                return Err(e);
-            }
-        };
-        let schema = Arc::new(child.schema().with_qualifier(&self.alias));
-        Ok(Box::new(AliasStream {
-            child,
-            schema,
-            id,
-            rows_out: 0,
-            nanos: start.elapsed().as_nanos() as u64,
-        }))
-    }
-}
-
-/// Streaming requalification: re-schemas each chunk, selection preserved.
-struct AliasStream<'a> {
-    child: Box<dyn ChunkStream + 'a>,
-    schema: SchemaRef,
-    id: FrameId,
-    rows_out: u64,
-    nanos: u64,
-}
-
-impl ChunkStream for AliasStream<'_> {
-    fn schema(&self) -> SchemaRef {
-        self.schema.clone()
-    }
-
-    fn next_chunk(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
-        ctx.budget.check()?;
-        let start = Instant::now();
-        let chunk = match self.child.next_chunk(ctx) {
-            Ok(Some(c)) => c,
-            Ok(None) => {
-                self.nanos += start.elapsed().as_nanos() as u64;
-                return Ok(None);
-            }
-            Err(e) => {
-                self.nanos += start.elapsed().as_nanos() as u64;
-                return Err(e);
-            }
-        };
-        let out = match chunk.with_schema(self.schema.clone()) {
-            Ok(b) => b,
-            Err(e) => {
-                self.nanos += start.elapsed().as_nanos() as u64;
-                return Err(e);
-            }
-        };
-        ctx.metrics.record_chunk(self.id, 0);
-        ctx.stats.batches_processed += 1;
-        let rows = out.num_rows() as u64;
-        self.rows_out += rows;
-        ctx.rows_emitted += rows;
-        self.nanos += start.elapsed().as_nanos() as u64;
-        ctx.budget.check_rows(ctx.rows_emitted)?;
-        Ok(Some(out))
-    }
-
-    fn close(&mut self, ctx: &mut ExecContext<'_>) {
-        self.child.close(ctx);
-        ctx.metrics.exit(self.rows_out, self.nanos);
     }
 }

@@ -23,7 +23,7 @@ impl PhysicalOperator for PhysicalUnion {
         let batches: Vec<Batch> = self
             .inputs
             .iter()
-            .map(|p| super::collect_input(p.as_ref(), ctx))
+            .map(|p| p.execute(ctx))
             .collect::<Result<_>>()?;
         let out = Batch::concat(&batches)?;
         // UNION output columns lose their source qualifiers.

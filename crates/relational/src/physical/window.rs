@@ -61,7 +61,7 @@ impl PhysicalOperator for PhysicalWindow {
     }
 
     fn execute_op(&self, ctx: &mut ExecContext<'_>) -> Result<Batch> {
-        let b = super::collect_input(self.input.as_ref(), ctx)?;
+        let b = self.input.execute(ctx)?;
         let start = Instant::now();
 
         let ev = WindowEval::prepare(&b, &self.partition_by, self.order_key.as_ref(), &self.exprs)?;

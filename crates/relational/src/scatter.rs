@@ -469,7 +469,7 @@ pub fn gather_with(
             GatherStep::Sort { keys } => sort_batch(&batch, keys)?,
             GatherStep::Limit { fetch } => {
                 let keep = (*fetch).min(batch.num_rows());
-                batch.slice(0, keep).flatten()
+                batch.slice(0, keep)
             }
         };
         // Any step after the first consumes coordinator-produced rows; the
@@ -548,7 +548,7 @@ fn reaggregate(
         }
     } else {
         let gcols: Vec<Column> = batch.columns()[..spec.group_cols].to_vec();
-        let keys = encode_keys(&gcols, batch.selection(), n, NullKeys::Match, hash)?;
+        let keys = encode_keys(&gcols, n, NullKeys::Match, hash)?;
         let mut table = RawKeyTable::with_capacity(n.min(1024));
         for i in 0..n {
             let (slot, fresh) = table.insert(keys.hash(i), keys.key(i), hash);

@@ -347,8 +347,6 @@ impl Rewritten {
             segments_total: 0,
             segments_pruned: 0,
             segments_scanned: 0,
-            batches_processed: 0,
-            selection_avoided_copies: 0,
             hash_ops: 0,
             hash_collisions: 0,
             probe_memcmps: 0,

@@ -166,8 +166,6 @@ impl MaintenanceStats {
             segments_total: 0,
             segments_pruned: 0,
             segments_scanned: 0,
-            batches_processed: 0,
-            selection_avoided_copies: 0,
             hash_ops: self.exec.hash_ops,
             hash_collisions: self.exec.hash_collisions,
             probe_memcmps: self.exec.probe_memcmps,

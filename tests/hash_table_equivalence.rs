@@ -4,19 +4,15 @@
 //! *transparent*: for any plan built from joins, GROUP BY aggregation, and
 //! DISTINCT, running with `rowwise_hash == false` produces rows identical
 //! to the `HashMap<Vec<Value>, _>` oracle (`rowwise_hash == true`) at every
-//! chunk size, every selection density the filters induce, and every NULL
-//! mix — and the hash path stays parallelism-invariant at P ∈ {1, 2, 8}
+//! filter selectivity and every NULL mix — and the hash path stays parallelism-invariant at P ∈ {1, 2, 8}
 //! with identical deterministic operator metrics. A direct adversarial
 //! test drives [`RawKeyTable`] with distinct keys sharing one 64-bit hash
 //! and checks that memcmp disambiguates while the collision counter ticks.
 
-use dc_relational::physical::DEFAULT_CHUNK_ROWS;
 use dc_relational::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// 0 is the materialized oracle; the rest are morsel sizes.
-const CHUNK_SIZES: [usize; 4] = [0, 1, 7, DEFAULT_CHUNK_ROWS];
 const PARALLELISMS: [usize; 3] = [1, 2, 8];
 const CASES: u64 = 48;
 
@@ -101,7 +97,7 @@ fn random_reads(rng: &mut StdRng, n: usize) -> Vec<Vec<Value>> {
 }
 
 fn random_catalog(rng: &mut StdRng) -> Catalog {
-    // Sometimes bigger than a default morsel so 1024-row chunking splits.
+    // Sometimes larger than the hash tables' 1024-slot initial capacity.
     let n = if rng.gen_bool(0.2) {
         rng.gen_range(1100..1500usize)
     } else {
@@ -133,8 +129,7 @@ fn random_catalog(rng: &mut StdRng) -> Catalog {
     cat
 }
 
-/// A random filter to induce selection vectors of varying density on the
-/// hash operators' inputs.
+/// A random filter to vary the selectivity of the hash operators' inputs.
 fn random_filter(rng: &mut StdRng) -> Expr {
     match rng.gen_range(0..4u32) {
         0 => Expr::col("rtime").lt(Expr::lit(rng.gen_range(0..300i64))),
@@ -234,80 +229,60 @@ fn random_hash_plan(rng: &mut StdRng) -> LogicalPlan {
 }
 
 /// The normalized-key path produces rows identical to the `Vec<Value>`
-/// oracle at every chunk size, with all non-hash work counters equal. The
-/// oracle never spends hash-kernel work; the vectorized path always does
-/// once the build side is non-empty.
+/// oracle, with all non-hash work counters equal. The oracle never spends
+/// hash-kernel work.
 #[test]
 fn hash_path_matches_rowwise_oracle_on_random_plans() {
     check("hash path vs rowwise oracle", |rng| {
         let cat = random_catalog(rng);
         let plan = random_hash_plan(rng);
-        for &chunk in &CHUNK_SIZES {
-            let base = ExecOptions::with_parallelism(1).with_chunk_rows(chunk);
-            let mut oracle = Executor::with_options(&cat, base.with_rowwise_hash(true));
-            let expected = oracle.execute(&plan).unwrap_or_else(|e| {
-                panic!(
-                    "oracle failed at chunk_rows={chunk}: {e}\n{}",
-                    plan.display_indent()
-                )
-            });
-            let mut vectorized = Executor::with_options(&cat, base.with_rowwise_hash(false));
-            let got = vectorized.execute(&plan).unwrap_or_else(|e| {
-                panic!(
-                    "hash path failed at chunk_rows={chunk}: {e}\n{}",
-                    plan.display_indent()
-                )
-            });
-            assert_eq!(
-                rows_of(&got),
-                rows_of(&expected),
-                "rows differ at chunk_rows={chunk}\n{}",
-                plan.display_indent()
-            );
-            assert_eq!(
-                oracle.stats.hash_ops, 0,
-                "the rowwise oracle must not touch the hash kernels"
-            );
-            assert_eq!(
-                sans_hash(vectorized.stats),
-                sans_hash(oracle.stats),
-                "non-hash work counters differ at chunk_rows={chunk}\n{}",
-                plan.display_indent()
-            );
-        }
+        let base = ExecOptions::with_parallelism(1);
+        let mut oracle = Executor::with_options(&cat, base.with_rowwise_hash(true));
+        let expected = oracle
+            .execute(&plan)
+            .unwrap_or_else(|e| panic!("oracle failed: {e}\n{}", plan.display_indent()));
+        let mut vectorized = Executor::with_options(&cat, base.with_rowwise_hash(false));
+        let got = vectorized
+            .execute(&plan)
+            .unwrap_or_else(|e| panic!("hash path failed: {e}\n{}", plan.display_indent()));
+        assert_eq!(
+            rows_of(&got),
+            rows_of(&expected),
+            "rows differ\n{}",
+            plan.display_indent()
+        );
+        assert_eq!(
+            oracle.stats.hash_ops, 0,
+            "the rowwise oracle must not touch the hash kernels"
+        );
+        assert_eq!(
+            sans_hash(vectorized.stats),
+            sans_hash(oracle.stats),
+            "non-hash work counters differ\n{}",
+            plan.display_indent()
+        );
     });
 }
 
 /// The hash path stays parallelism-invariant: rows, merged stats (hash
 /// counters included), and deterministic per-operator metrics are
-/// identical at P ∈ {1, 2, 8} for each chunk size.
+/// identical at P ∈ {1, 2, 8}.
 #[test]
 fn hash_path_parallelism_invariant() {
     check("hash path parallelism invariance", |rng| {
         let cat = random_catalog(rng);
         let plan = random_hash_plan(rng);
-        for &chunk in &[7usize, DEFAULT_CHUNK_ROWS] {
-            let mut baseline: Option<(Vec<Vec<Value>>, ExecStats, Option<DeterministicMetrics>)> =
-                None;
-            for &p in &PARALLELISMS {
-                let opts = ExecOptions::with_parallelism(p).with_chunk_rows(chunk);
-                let mut ex = Executor::with_options(&cat, opts);
-                let batch = ex.execute(&plan).unwrap();
-                let metrics = ex.metrics.as_ref().map(|m| m.deterministic());
-                match &baseline {
-                    None => baseline = Some((rows_of(&batch), ex.stats, metrics)),
-                    Some((rows, stats, metrics1)) => {
-                        assert_eq!(
-                            &rows_of(&batch),
-                            rows,
-                            "rows differ at P={p} chunk_rows={chunk}"
-                        );
-                        assert_eq!(&ex.stats, stats, "stats differ at P={p} chunk_rows={chunk}");
-                        assert_eq!(
-                            &metrics, metrics1,
-                            "operator metrics differ at P={p} chunk_rows={chunk}"
-                        );
-                    }
+        let mut baseline: Option<(Vec<Vec<Value>>, ExecStats, Option<DeterministicMetrics>)> = None;
+        for &p in &PARALLELISMS {
+            let mut ex = Executor::with_options(&cat, ExecOptions::with_parallelism(p));
+            let batch = ex.execute(&plan).unwrap();
+            let metrics = ex.metrics.as_ref().map(|m| m.deterministic());
+            match &baseline {
+                None => baseline = Some((rows_of(&batch), ex.stats, metrics)),
+                Some((rows, stats, metrics1)) => {
+                    assert_eq!(&rows_of(&batch), rows, "rows differ at P={p}");
+                    assert_eq!(&ex.stats, stats, "stats differ at P={p}");
+                    assert_eq!(&metrics, metrics1, "operator metrics differ at P={p}");
                 }
             }
         }

@@ -1,37 +1,23 @@
-//! Chunked execution vs the materialized oracle, and typed kernels vs the
-//! per-row `Value` oracle.
+//! Typed kernels vs the per-row `Value` oracle, and parallelism
+//! invariance of whole plans.
 //!
-//! The vectorized pipeline must be *transparent*: for any plan, running in
-//! 1-, 7-, or 1024-row morsels produces batches byte-identical to the fully
-//! materialized path (`chunk_rows == 0`), with identical work counters
-//! (modulo the chunk-bookkeeping counters themselves, and limit plans,
-//! where early exit legitimately does less upstream work). Likewise
-//! [`Expr::evaluate`] (typed kernels, selection-aware) must agree with
-//! [`Expr::evaluate_rowwise`] (the retained `Value`-boxing oracle) on every
-//! expression shape, selection density, and NULL mix — and stay
-//! parallelism-invariant at P ∈ {1, 2, 8}.
+//! [`Expr::evaluate`] and [`Expr::filter_indices`] (typed kernels) must
+//! agree with [`Expr::evaluate_rowwise`] (the retained `Value`-boxing
+//! oracle) on every expression shape and NULL mix, over flat batches and
+//! over zero-copy [`Batch::slice`] windows at non-zero column offsets.
+//! Random plans (filter, project, union, alias, sort, aggregate, distinct,
+//! limit) must produce identical rows, work counters, and deterministic
+//! operator metrics at P ∈ {1, 2, 8}.
 
-use dc_relational::expr::filter_chunk;
-use dc_relational::physical::DEFAULT_CHUNK_ROWS;
 use dc_relational::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// 0 is the materialized oracle; the rest are morsel sizes.
-const CHUNK_SIZES: [usize; 4] = [0, 1, 7, DEFAULT_CHUNK_ROWS];
 const PARALLELISMS: [usize; 3] = [1, 2, 8];
 const CASES: u64 = 48;
 
 fn rows_of(b: &Batch) -> Vec<Vec<Value>> {
     (0..b.num_rows()).map(|i| b.row(i)).collect()
-}
-
-/// The chunk-bookkeeping counters differ across chunk sizes by design;
-/// every other counter must match the materialized run exactly.
-fn normalized(mut s: ExecStats) -> ExecStats {
-    s.batches_processed = 0;
-    s.selection_avoided_copies = 0;
-    s
 }
 
 /// Run `property` for `CASES` deterministic seeds, reporting the failing
@@ -84,7 +70,7 @@ fn random_rows(rng: &mut StdRng, n: usize) -> Vec<Vec<Value>> {
 }
 
 fn random_catalog(rng: &mut StdRng) -> Catalog {
-    // Sometimes bigger than a default morsel so 1024-row chunking splits.
+    // Sometimes big enough to span several 1024-row window shards.
     let n = if rng.gen_bool(0.2) {
         rng.gen_range(1100..1600usize)
     } else {
@@ -167,13 +153,23 @@ fn random_scalar(rng: &mut StdRng) -> Expr {
     }
 }
 
-/// A random streaming-friendly plan: scan → [filter] → [project] →
-/// [sort | aggregate | distinct] → [limit]. Returns the plan and whether it
-/// contains a limit (which legitimately changes upstream work).
-fn random_plan(rng: &mut StdRng) -> (LogicalPlan, bool) {
+/// A random plan: (scan → [filter] | union of two filtered scans) →
+/// [alias] → [project] → [sort | aggregate | distinct] → [limit].
+fn random_plan(rng: &mut StdRng) -> LogicalPlan {
     let mut plan = LogicalPlan::scan("r");
     if rng.gen_bool(0.7) {
         plan = plan.filter(random_predicate(rng, 2));
+    }
+    if rng.gen_bool(0.25) {
+        plan = LogicalPlan::Union {
+            inputs: vec![
+                plan,
+                LogicalPlan::scan("r").filter(random_predicate(rng, 1)),
+            ],
+        };
+    }
+    if rng.gen_bool(0.25) {
+        plan = plan.alias("s");
     }
     if rng.gen_bool(0.5) {
         let n = rng.gen_range(1..=3usize);
@@ -215,70 +211,28 @@ fn random_plan(rng: &mut StdRng) -> (LogicalPlan, bool) {
         2 => plan = plan.distinct(),
         _ => {}
     }
-    let limited = rng.gen_bool(0.3);
-    if limited {
+    if rng.gen_bool(0.3) {
         plan = plan.limit(rng.gen_range(0..40usize));
     }
-    (plan, limited)
+    plan
 }
 
-/// Chunked execution at every morsel size produces batches byte-identical
-/// to the materialized oracle, with identical work counters (limit plans
-/// excepted: early exit does less upstream work, never more).
-#[test]
-fn chunked_matches_materialized_on_random_plans() {
-    check("chunked vs materialized", |rng| {
-        let cat = random_catalog(rng);
-        let (plan, limited) = random_plan(rng);
-        let mut baseline: Option<(Vec<Vec<Value>>, ExecStats)> = None;
-        for &chunk in &CHUNK_SIZES {
-            let opts = ExecOptions::with_parallelism(1).with_chunk_rows(chunk);
-            let mut ex = Executor::with_options(&cat, opts);
-            let batch = ex.execute(&plan).unwrap_or_else(|e| {
-                panic!(
-                    "plan failed at chunk_rows={chunk}: {e}\n{}",
-                    plan.display_indent()
-                )
-            });
-            match &baseline {
-                None => baseline = Some((rows_of(&batch), ex.stats)),
-                Some((rows, stats)) => {
-                    assert_eq!(
-                        &rows_of(&batch),
-                        rows,
-                        "rows differ at chunk_rows={chunk}\n{}",
-                        plan.display_indent()
-                    );
-                    if !limited {
-                        assert_eq!(
-                            normalized(ex.stats),
-                            normalized(*stats),
-                            "work counters differ at chunk_rows={chunk}\n{}",
-                            plan.display_indent()
-                        );
-                    }
-                }
-            }
-        }
-    });
-}
-
-/// Build a random batch, optionally carrying a selection vector of random
-/// density over the physical rows.
+/// Build a random batch: either whole, or a zero-copy [`Batch::slice`]
+/// window at a random offset, so the kernels see non-zero column offsets.
 fn random_chunk(rng: &mut StdRng) -> Batch {
     let n = rng.gen_range(0..=200usize);
     let rows = random_rows(rng, n);
     let base = Batch::from_rows(test_schema(), &rows).unwrap();
     if rng.gen_bool(0.3) {
-        return base; // flat chunk, no selection
+        return base;
     }
-    let density = [1.0, 0.5, 0.1, 0.0][rng.gen_range(0..4usize)];
-    let sel: Vec<u32> = (0..n as u32).filter(|_| rng.gen_bool(density)).collect();
-    base.with_selection(sel)
+    let offset = rng.gen_range(0..=n);
+    let len = rng.gen_range(0..=n - offset);
+    base.slice(offset, len)
 }
 
 /// Typed-kernel evaluation agrees with the per-row `Value` oracle on every
-/// expression shape, selection density, and NULL mix.
+/// expression shape, window offset, and NULL mix.
 #[test]
 fn kernels_match_rowwise_oracle_on_random_exprs() {
     check("kernel vs rowwise oracle", |rng| {
@@ -313,15 +267,15 @@ fn kernels_match_rowwise_oracle_on_random_exprs() {
     });
 }
 
-/// `filter_chunk` survivor sets agree with filtering the compacted batch
-/// through the oracle, mapped back to physical row ids.
+/// `filter_indices` survivor sets agree with filtering through the
+/// per-row oracle, on flat batches and offset windows alike.
 #[test]
-fn filter_chunk_matches_compacted_oracle() {
-    check("filter_chunk vs compacted oracle", |rng| {
+fn filter_indices_matches_rowwise_oracle() {
+    check("filter_indices vs rowwise oracle", |rng| {
         let chunk = random_chunk(rng);
         let pred = random_predicate(rng, 2);
-        let outcome = match filter_chunk(&pred, &chunk) {
-            Ok(o) => o,
+        let survivors = match pred.filter_indices(&chunk) {
+            Ok(s) => s,
             Err(_) => {
                 assert!(
                     pred.evaluate_rowwise(&chunk).is_err(),
@@ -331,45 +285,33 @@ fn filter_chunk_matches_compacted_oracle() {
             }
         };
         let col = pred.evaluate_rowwise(&chunk).expect("oracle eval");
-        let sel = chunk.selection();
-        let expected: Vec<u32> = (0..col.len())
+        let expected: Vec<usize> = (0..col.len())
             .filter(|&k| !col.is_null(k) && col.value(k) == Value::Bool(true))
-            .map(|k| sel.map_or(k as u32, |rows| rows[k]))
             .collect();
-        assert_eq!(outcome.selected, expected, "survivors differ for {pred}");
+        assert_eq!(survivors, expected, "survivors differ for {pred}");
     });
 }
 
-/// Chunked execution stays parallelism-invariant: batches, merged stats,
-/// and the deterministic per-operator metrics are identical at P ∈ {1,2,8}
-/// for each chunk size.
+/// Execution is parallelism-invariant: batches, merged stats, and the
+/// deterministic per-operator metrics are identical at P ∈ {1, 2, 8}.
 #[test]
-fn chunked_execution_parallelism_invariant() {
-    check("chunked parallelism invariance", |rng| {
+fn execution_parallelism_invariant() {
+    check("parallelism invariance", |rng| {
         let cat = random_catalog(rng);
-        let (plan, _) = random_plan(rng);
-        for &chunk in &[7usize, DEFAULT_CHUNK_ROWS] {
-            let mut baseline: Option<(Vec<Vec<Value>>, ExecStats, Option<DeterministicMetrics>)> =
-                None;
-            for &p in &PARALLELISMS {
-                let opts = ExecOptions::with_parallelism(p).with_chunk_rows(chunk);
-                let mut ex = Executor::with_options(&cat, opts);
-                let batch = ex.execute(&plan).unwrap();
-                let metrics = ex.metrics.as_ref().map(|m| m.deterministic());
-                match &baseline {
-                    None => baseline = Some((rows_of(&batch), ex.stats, metrics)),
-                    Some((rows, stats, metrics1)) => {
-                        assert_eq!(
-                            &rows_of(&batch),
-                            rows,
-                            "rows differ at P={p} chunk_rows={chunk}"
-                        );
-                        assert_eq!(&ex.stats, stats, "stats differ at P={p} chunk_rows={chunk}");
-                        assert_eq!(
-                            &metrics, metrics1,
-                            "operator metrics differ at P={p} chunk_rows={chunk}"
-                        );
-                    }
+        let plan = random_plan(rng);
+        let mut baseline: Option<(Vec<Vec<Value>>, ExecStats, Option<DeterministicMetrics>)> = None;
+        for &p in &PARALLELISMS {
+            let mut ex = Executor::with_options(&cat, ExecOptions::with_parallelism(p));
+            let batch = ex
+                .execute(&plan)
+                .unwrap_or_else(|e| panic!("plan failed at P={p}: {e}\n{}", plan.display_indent()));
+            let metrics = ex.metrics.as_ref().map(|m| m.deterministic());
+            match &baseline {
+                None => baseline = Some((rows_of(&batch), ex.stats, metrics)),
+                Some((rows, stats, metrics1)) => {
+                    assert_eq!(&rows_of(&batch), rows, "rows differ at P={p}");
+                    assert_eq!(&ex.stats, stats, "stats differ at P={p}");
+                    assert_eq!(&metrics, metrics1, "operator metrics differ at P={p}");
                 }
             }
         }
