@@ -368,26 +368,71 @@ impl Column {
         }
     }
 
-    /// Concatenate columns of the same type.
+    /// Concatenate columns of the same type: one typed copy of each part's
+    /// window, plus one validity bitmap when any part has NULLs.
     pub fn concat(parts: &[&Column]) -> Result<Column> {
         let Some(first) = parts.first() else {
             return Err(Error::Internal("concat of zero columns".into()));
         };
         let dt = first.data_type();
-        let total: usize = parts.iter().map(|c| c.len()).sum();
-        let mut b = ColumnBuilder::new(dt, total);
-        for c in parts {
-            if c.data_type() != dt {
-                return Err(Error::Schema(format!(
-                    "concat type mismatch: {} vs {dt}",
-                    c.data_type()
-                )));
-            }
-            for i in 0..c.len() {
-                b.push(&c.value(i))?;
-            }
+        if let Some(c) = parts.iter().find(|c| c.data_type() != dt) {
+            return Err(Error::Schema(format!(
+                "concat type mismatch: {} vs {dt}",
+                c.data_type()
+            )));
         }
-        Ok(b.finish())
+        let total: usize = parts.iter().map(|c| c.len()).sum();
+        fn extend<T: Clone>(
+            parts: &[&Column],
+            total: usize,
+            values: fn(&Column) -> Option<&[T]>,
+        ) -> Vec<T> {
+            let mut out = Vec::with_capacity(total);
+            for c in parts {
+                out.extend_from_slice(values(c).expect("parts share one type"));
+            }
+            out
+        }
+        let data = match dt {
+            DataType::Bool => ColumnData::Bool(extend(parts, total, Column::bool_values)),
+            DataType::Int => ColumnData::Int(extend(parts, total, Column::int_values)),
+            DataType::Double => ColumnData::Double(extend(parts, total, Column::double_values)),
+            DataType::Str => ColumnData::Str(extend(parts, total, Column::str_values)),
+        };
+        let validity = parts.iter().any(|c| c.has_nulls()).then(|| {
+            let mut bits = Bitmap::new(total, true);
+            let mut at = 0;
+            for c in parts {
+                if c.has_nulls() {
+                    for i in (0..c.len()).filter(|&i| c.is_null(i)) {
+                        bits.set(at + i, false);
+                    }
+                }
+                at += c.len();
+            }
+            Arc::new(bits)
+        });
+        Ok(Column {
+            data: Arc::new(data),
+            validity,
+            offset: 0,
+            len: total,
+        })
+    }
+
+    /// Whether `other` is this very view: the same payload and bitmap
+    /// allocations under the same window, so the two hold the same rows
+    /// without comparing any of them.
+    pub(crate) fn same_view(&self, other: &Column) -> bool {
+        let same_bitmap = match (&self.validity, &other.validity) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (None, None) => true,
+            _ => false,
+        };
+        Arc::ptr_eq(&self.data, &other.data)
+            && same_bitmap
+            && self.offset == other.offset
+            && self.len == other.len
     }
 
     /// Iterate scalar values.
@@ -627,6 +672,18 @@ mod tests {
         let rebuilt = Column::from_values(DataType::Int, &[Value::Int(1), Value::Null]).unwrap();
         assert_eq!(windowed, rebuilt);
         assert_ne!(windowed, c.slice(0, 2));
+    }
+
+    #[test]
+    fn same_view_is_identity_not_equality() {
+        let c = Column::from_values(DataType::Int, &[Value::Int(1), Value::Null]).unwrap();
+        assert!(c.same_view(&c.clone()));
+        assert!(c.slice(0, 2).same_view(&c));
+        assert!(!c.slice(1, 1).same_view(&c));
+        assert!(!c.slice(0, 1).same_view(&c));
+        let rebuilt = Column::from_values(DataType::Int, &[Value::Int(1), Value::Null]).unwrap();
+        assert_eq!(rebuilt, c);
+        assert!(!rebuilt.same_view(&c));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::batch::Batch;
 use crate::column::Column;
 use crate::error::{Error, Result};
 use crate::expr::Expr;
-use crate::hash::{encode_keys, HashStats, NullKeys, RawKeyTable};
+use crate::hash::{encode_keys, EncodedKeys, HashStats, NullKeys, RawKeyTable};
 use crate::physical::QueryBudget;
 use crate::value::Value;
 use std::collections::HashMap;
@@ -133,10 +133,8 @@ fn emit_inner(left: &Batch, right: &Batch, li: &[usize], ri: &[usize]) -> Result
     Batch::new(schema, cols)
 }
 
-/// The vectorized path: normalized-key build table with CSR match lists
-/// (per-key build rows stay in ascending order, matching the oracle's
-/// insertion order), hash-first probe with memcmp only on candidate
-/// collision.
+/// The vectorized path: build a [`JoinBuild`] over the right keys, then
+/// probe it with the left keys.
 fn hash_join_vectorized(
     left: &Batch,
     right: &Batch,
@@ -145,95 +143,138 @@ fn hash_join_vectorized(
     join_type: JoinType,
     budget: &QueryBudget,
 ) -> Result<(Batch, JoinWork)> {
-    let mut hash = HashStats::default();
-    const NO_SLOT: u32 = u32::MAX;
-
-    // Build side.
     let rcols: Vec<Column> = right_keys
         .iter()
         .map(|k| k.evaluate(right))
         .collect::<Result<_>>()?;
-    let rn = right.num_rows();
-    let rkeys = encode_keys(&rcols, rn, NullKeys::Never, &mut hash)?;
-    let mut table = RawKeyTable::with_capacity(rn);
-    let mut slot_of_row: Vec<u32> = Vec::with_capacity(rn);
-    let mut counts: Vec<u32> = Vec::new();
-    for i in 0..rn {
-        if i % BUDGET_CHECK_INTERVAL == 0 {
-            budget.check()?;
+    let mut hash = HashStats::default();
+    let build = JoinBuild::build(&rcols, right.num_rows(), budget, &mut hash)?;
+    let (batch, mut work) = probe_join(left, right, left_keys, &build, join_type, budget)?;
+    work.hash.merge(&hash);
+    Ok((batch, work))
+}
+
+/// The build half of a vectorized hash join: a normalized-key table over
+/// the build rows plus CSR match lists (slot → build rows, ascending, which
+/// is the oracle's insertion order). It depends only on the build-side key
+/// columns, so [`crate::table::Table::join_build`] keeps one per table
+/// column and every join probing that column shares it.
+#[derive(Debug)]
+pub(crate) struct JoinBuild {
+    table: RawKeyTable,
+    offsets: Vec<u32>,
+    match_rows: Vec<u32>,
+}
+
+impl JoinBuild {
+    /// Build over the first `rows` rows of `keys`, charging the key
+    /// encoding and table inserts to `hash`. Rows with a NULL key part
+    /// never match.
+    pub(crate) fn build(
+        keys: &[Column],
+        rows: usize,
+        budget: &QueryBudget,
+        hash: &mut HashStats,
+    ) -> Result<JoinBuild> {
+        const NO_SLOT: u32 = u32::MAX;
+        let rkeys = encode_keys(keys, rows, NullKeys::Never, hash)?;
+        let mut table = RawKeyTable::with_capacity(rows);
+        let mut slot_of_row: Vec<u32> = Vec::with_capacity(rows);
+        let mut counts: Vec<u32> = Vec::new();
+        for i in 0..rows {
+            if i % BUDGET_CHECK_INTERVAL == 0 {
+                budget.check()?;
+            }
+            if !rkeys.is_joinable(i) {
+                slot_of_row.push(NO_SLOT);
+                continue;
+            }
+            let (slot, fresh) = table.insert(rkeys.hash(i), rkeys.key(i), hash);
+            if fresh {
+                counts.push(0);
+            }
+            counts[slot] += 1;
+            slot_of_row.push(slot as u32);
         }
-        if !rkeys.is_joinable(i) {
-            slot_of_row.push(NO_SLOT);
-            continue;
+        let mut offsets = vec![0u32; counts.len() + 1];
+        for s in 0..counts.len() {
+            offsets[s + 1] = offsets[s] + counts[s];
         }
-        let (slot, fresh) = table.insert(rkeys.hash(i), rkeys.key(i), &mut hash);
-        if fresh {
-            counts.push(0);
+        let mut match_rows = vec![0u32; offsets[counts.len()] as usize];
+        let mut cursor = offsets[..counts.len()].to_vec();
+        for (i, &s) in slot_of_row.iter().enumerate() {
+            if s != NO_SLOT {
+                match_rows[cursor[s as usize] as usize] = i as u32;
+                cursor[s as usize] += 1;
+            }
         }
-        counts[slot] += 1;
-        slot_of_row.push(slot as u32);
-    }
-    // CSR layout: slot -> build rows, ascending.
-    let mut offsets = vec![0u32; counts.len() + 1];
-    for s in 0..counts.len() {
-        offsets[s + 1] = offsets[s] + counts[s];
-    }
-    let mut match_rows = vec![0u32; offsets[counts.len()] as usize];
-    let mut cursor = offsets[..counts.len()].to_vec();
-    for (i, &s) in slot_of_row.iter().enumerate() {
-        if s != NO_SLOT {
-            match_rows[cursor[s as usize] as usize] = i as u32;
-            cursor[s as usize] += 1;
-        }
+        Ok(JoinBuild {
+            table,
+            offsets,
+            match_rows,
+        })
     }
 
-    // Probe side.
+    /// The build rows whose key equals probe row `i` of `keys`: hash-first
+    /// lookup, memcmp only on a hash match.
+    fn matches(&self, keys: &EncodedKeys, i: usize, hash: &mut HashStats) -> &[u32] {
+        if !keys.is_joinable(i) {
+            return &[];
+        }
+        match self.table.get(keys.hash(i), keys.key(i), hash) {
+            Some(slot) => {
+                &self.match_rows[self.offsets[slot] as usize..self.offsets[slot + 1] as usize]
+            }
+            None => &[],
+        }
+    }
+}
+
+/// Probe `build` — made over `right`'s join keys — with `left`'s keys and
+/// assemble the join output. The returned work holds the probe side only:
+/// a shared build is charged to no query.
+pub(crate) fn probe_join(
+    left: &Batch,
+    right: &Batch,
+    left_keys: &[Expr],
+    build: &JoinBuild,
+    join_type: JoinType,
+    budget: &QueryBudget,
+) -> Result<(Batch, JoinWork)> {
+    let mut hash = HashStats::default();
     let lcols: Vec<Column> = left_keys
         .iter()
         .map(|k| k.evaluate(left))
         .collect::<Result<_>>()?;
     let ln = left.num_rows();
     let lkeys = encode_keys(&lcols, ln, NullKeys::Never, &mut hash)?;
-    let mut probes: u64 = 0;
-    let batch = match join_type {
-        JoinType::Inner => {
-            let mut li = Vec::new();
-            let mut ri = Vec::new();
-            for i in 0..ln {
-                if i % BUDGET_CHECK_INTERVAL == 0 {
-                    budget.check()?;
-                }
-                probes += 1;
-                if !lkeys.is_joinable(i) {
-                    continue;
-                }
-                if let Some(slot) = table.get(lkeys.hash(i), lkeys.key(i), &mut hash) {
-                    for &m in &match_rows[offsets[slot] as usize..offsets[slot + 1] as usize] {
-                        li.push(i);
-                        ri.push(m as usize);
-                    }
-                }
-            }
-            emit_inner(left, right, &li, &ri)?
+    let mut li = Vec::new();
+    let mut ri = Vec::new();
+    for i in 0..ln {
+        if i % BUDGET_CHECK_INTERVAL == 0 {
+            budget.check()?;
         }
-        JoinType::LeftSemi => {
-            let mut li = Vec::new();
-            for i in 0..ln {
-                if i % BUDGET_CHECK_INTERVAL == 0 {
-                    budget.check()?;
-                }
-                probes += 1;
-                if !lkeys.is_joinable(i) {
-                    continue;
-                }
-                if table.get(lkeys.hash(i), lkeys.key(i), &mut hash).is_some() {
+        let matches = build.matches(&lkeys, i, &mut hash);
+        match join_type {
+            JoinType::Inner => {
+                for &m in matches {
                     li.push(i);
+                    ri.push(m as usize);
                 }
             }
-            left.take(&li)
+            JoinType::LeftSemi if !matches.is_empty() => li.push(i),
+            JoinType::LeftSemi => {}
         }
+    }
+    let batch = match join_type {
+        JoinType::Inner => emit_inner(left, right, &li, &ri)?,
+        JoinType::LeftSemi => left.take(&li),
     };
-    Ok((batch, JoinWork { probes, hash }))
+    let work = JoinWork {
+        probes: ln as u64,
+        hash,
+    };
+    Ok((batch, work))
 }
 
 /// The retained `Vec<Value>` oracle path (equivalence baseline for the

@@ -19,7 +19,7 @@
 use super::aggregate::PhysicalAggregate;
 use super::distinct::PhysicalDistinct;
 use super::filter::PhysicalFilter;
-use super::hash_join::PhysicalHashJoin;
+use super::hash_join::{PhysicalHashJoin, TableBuild};
 use super::limit::PhysicalLimit;
 use super::project::PhysicalProject;
 use super::scan::{IndexCandidate, PhysicalScan};
@@ -48,16 +48,7 @@ pub fn lower(plan: &LogicalPlan, catalog: &Catalog) -> Result<Box<dyn PhysicalOp
         } => {
             let t = catalog.get(table)?;
             let candidates = match filter {
-                Some(f) => {
-                    // The scan's output schema (possibly requalified by the
-                    // alias) is what the filter's column references resolve
-                    // against; it is positionally identical to the table.
-                    let scan_schema = match alias {
-                        Some(a) => t.schema().with_qualifier(a),
-                        None => t.schema().as_ref().clone(),
-                    };
-                    derive_index_candidates(&t, &scan_schema, f)
-                }
+                Some(f) => derive_index_candidates(&t, &scan_schema(&t, alias), f),
                 None => Vec::new(),
             };
             Box::new(PhysicalScan {
@@ -126,6 +117,7 @@ pub fn lower(plan: &LogicalPlan, catalog: &Catalog) -> Result<Box<dyn PhysicalOp
                     right: r,
                     left_keys: left_keys.clone(),
                     right_keys: right_keys.clone(),
+                    table_build: table_build(right, right_keys, catalog),
                 }),
                 JoinType::LeftSemi => Box::new(PhysicalSemiJoin {
                     left: l,
@@ -179,6 +171,43 @@ fn table_order_source(input: &LogicalPlan) -> Option<String> {
         LogicalPlan::SubqueryAlias { input, .. } => table_order_source(input),
         _ => None,
     }
+}
+
+/// A scan's output schema, requalified by its alias: what column
+/// references above the scan resolve against. It is positionally identical
+/// to the table's.
+fn scan_schema(table: &Table, alias: &Option<String>) -> Schema {
+    match alias {
+        Some(a) => table.schema().with_qualifier(a),
+        None => table.schema().as_ref().clone(),
+    }
+}
+
+/// Whether an inner join's build can be the right table's own
+/// [`Table::join_build`]: the right input is an unfiltered scan and the
+/// join has one key, a column of that scan. Filtered scans, multi-key joins
+/// and any other right input build per query.
+fn table_build(right: &LogicalPlan, right_keys: &[Expr], catalog: &Catalog) -> Option<TableBuild> {
+    let LogicalPlan::Scan {
+        table,
+        alias,
+        filter: None,
+    } = right
+    else {
+        return None;
+    };
+    let [Expr::Column(c)] = right_keys else {
+        return None;
+    };
+    let t = catalog.get(table).ok()?;
+    let column = scan_schema(&t, alias)
+        .index_of(c.qualifier.as_deref(), &c.name)
+        .ok()?;
+    Some(TableBuild {
+        table: t.name().to_string(),
+        column,
+        name: t.schema().field(column).name.clone(),
+    })
 }
 
 /// Range bounds accumulated for one column while deriving candidates.
@@ -301,4 +330,34 @@ fn derive_index_candidates(
         .collect();
     candidates.sort_by_key(|(ci, _)| *ci);
     candidates.into_iter().map(|(_, c)| c).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::batch::{schema_ref, Batch};
+    use crate::schema::Field;
+    use crate::value::DataType;
+
+    #[test]
+    fn table_build_only_for_an_unfiltered_scan_on_one_key_column() {
+        let schema = schema_ref(Schema::new(vec![
+            Field::new("gln", DataType::Str),
+            Field::new("code", DataType::Int),
+        ]));
+        let cat = Catalog::new();
+        cat.register(Table::new("d", Batch::from_rows(schema, &[]).unwrap()));
+        let build = |right: LogicalPlan, keys: &[&str]| {
+            let keys: Vec<Expr> = keys.iter().map(|k| Expr::col(*k)).collect();
+            table_build(&right, &keys, &cat).map(|tb| (tb.table, tb.column, tb.name))
+        };
+        let code = Some(("d".to_string(), 1, "code".to_string()));
+        assert_eq!(build(LogicalPlan::scan("d"), &["code"]), code);
+        assert_eq!(build(LogicalPlan::scan_as("d", "x"), &["x.code"]), code);
+        let filtered = LogicalPlan::scan("d").filter(Expr::col("code").lt(Expr::lit(3i64)));
+        assert_eq!(build(filtered, &["code"]), None);
+        assert_eq!(build(LogicalPlan::scan("d"), &["gln", "code"]), None);
+        let derived = LogicalPlan::scan("d").distinct();
+        assert_eq!(build(derived, &["code"]), None);
+    }
 }

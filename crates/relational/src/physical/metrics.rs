@@ -314,6 +314,14 @@ impl MetricsCollector {
         }
     }
 
+    /// Extend the label of the operator currently executing with what its
+    /// run did (e.g. which build a hash join probed).
+    pub fn append_label(&mut self, detail: &str) {
+        if let Some(top) = self.stack.last_mut() {
+            top.label.push_str(detail);
+        }
+    }
+
     /// Record elementary work units against the operator currently executing.
     pub fn add_comparisons(&mut self, n: u64) {
         if let Some(top) = self.stack.last_mut() {

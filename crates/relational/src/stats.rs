@@ -10,7 +10,7 @@ use crate::batch::Batch;
 use crate::value::Value;
 
 /// Statistics for one column.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnStats {
     pub min: Option<Value>,
     pub max: Option<Value>,
@@ -86,7 +86,7 @@ impl ColumnStats {
 }
 
 /// Statistics for a whole table.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TableStats {
     pub row_count: usize,
     /// Per-column stats, positionally aligned with the schema.

@@ -2,7 +2,9 @@
 //!
 //! A [`Table`] is a batch plus its secondary indexes, statistics, and
 //! segment metadata; the [`Catalog`] maps names to tables and is shared
-//! between the planner, the rewrite engine, and the executor.
+//! between the planner, the rewrite engine, and the executor. State derived
+//! from the rows alone — statistics and hash-join builds — is made on first
+//! use and lives exactly as long as the rows it describes.
 //!
 //! Tables are immutable once registered — readers always see a consistent
 //! snapshot — but grow through [`Catalog::append`], which clones the table,
@@ -13,6 +15,8 @@
 use crate::batch::Batch;
 use crate::error::{Error, Result};
 use crate::index::OrderedIndex;
+use crate::join::JoinBuild;
+use crate::physical::QueryBudget;
 use crate::schema::SchemaRef;
 use crate::segment::seal_segments;
 use crate::stats::TableStats;
@@ -20,7 +24,7 @@ use crate::value::Value;
 use dc_storage::Segment;
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A named table: data, indexes, statistics, and sealed segments.
 #[derive(Debug, Clone)]
@@ -28,7 +32,12 @@ pub struct Table {
     name: String,
     data: Batch,
     indexes: HashMap<String, OrderedIndex>,
-    stats: TableStats,
+    /// Computed by [`Table::stats`] on first use; [`Table::append`]
+    /// refreshes it eagerly.
+    stats: OnceLock<TableStats>,
+    /// One hash-join build slot per column, filled by [`Table::join_build`]
+    /// on first use. Replaced whenever `data` changes.
+    join_builds: Vec<OnceLock<Arc<JoinBuild>>>,
     /// Sealed row groups with per-column zone maps, covering all rows in
     /// order. A freshly created non-empty table is one segment.
     segments: Vec<Segment<Value>>,
@@ -44,8 +53,8 @@ pub struct Table {
 }
 
 impl Table {
-    /// Create a table, computing statistics immediately. Non-empty data is
-    /// sealed as a single segment.
+    /// Create a table. Non-empty data is sealed as a single segment;
+    /// statistics wait for their first use.
     pub fn new(name: impl Into<String>, data: Batch) -> Self {
         Self::with_segment_rows_opt(name, data, None)
     }
@@ -61,13 +70,13 @@ impl Table {
         data: Batch,
         segment_rows: Option<usize>,
     ) -> Self {
-        let stats = TableStats::compute(&data);
         let segments = seal_segments(&data, 0, 0, segment_rows, &[]);
         Table {
             name: name.into().to_ascii_lowercase(),
+            join_builds: empty_join_builds(&data),
             data,
             indexes: HashMap::new(),
-            stats,
+            stats: OnceLock::new(),
             segments,
             segment_rows,
             seq_order: Vec::new(),
@@ -79,8 +88,9 @@ impl Table {
     /// the metadata recorded in the commit log. The metadata is trusted —
     /// segments are immutable and it was derived from the sealed rows — but
     /// its row accounting is validated against the data so a corrupt log
-    /// cannot misdescribe row ranges. Statistics are recomputed and indexes
-    /// rebuilt (equivalent to the incremental builds the live table did).
+    /// cannot misdescribe row ranges. Indexes are rebuilt (equivalent to the
+    /// incremental builds the live table did); statistics wait for their
+    /// first use.
     pub fn from_recovered(
         name: impl Into<String>,
         data: Batch,
@@ -120,12 +130,12 @@ impl Table {
                 "recovered sequence order references column beyond {ncols}"
             )));
         }
-        let stats = TableStats::compute(&data);
         let mut t = Table {
             name: name.into().to_ascii_lowercase(),
+            join_builds: empty_join_builds(&data),
             data,
             indexes: HashMap::new(),
-            stats,
+            stats: OnceLock::new(),
             segments,
             segment_rows,
             seq_order,
@@ -199,8 +209,27 @@ impl Table {
         self.data.num_rows()
     }
 
+    /// Statistics over the current rows, computed on first use.
     pub fn stats(&self) -> &TableStats {
-        &self.stats
+        self.stats.get_or_init(|| TableStats::compute(&self.data))
+    }
+
+    /// The hash-join build over column `column`, made on first use and kept
+    /// until the rows change. Build work is charged to no query. Threads
+    /// racing the first use may each build, under their own `budget`; one
+    /// build is kept, and all are equal.
+    pub(crate) fn join_build(&self, column: usize, budget: &QueryBudget) -> Result<&JoinBuild> {
+        let slot = &self.join_builds[column];
+        if let Some(build) = slot.get() {
+            return Ok(build);
+        }
+        let build = JoinBuild::build(
+            std::slice::from_ref(self.data.column(column)),
+            self.num_rows(),
+            budget,
+            &mut Default::default(),
+        )?;
+        Ok(slot.get_or_init(|| Arc::new(build)))
     }
 
     /// The sealed segments, in row order.
@@ -209,8 +238,10 @@ impl Table {
     }
 
     /// Append a batch: concatenate the rows, seal them as new segment(s),
-    /// recompute statistics, and extend every existing index incrementally
-    /// (no rebuild — see [`OrderedIndex::extend`]).
+    /// recompute statistics, drop the join builds, and extend every existing
+    /// index incrementally (no rebuild — see [`OrderedIndex::extend`]).
+    /// Statistics are refreshed eagerly: the next reader costs a plan over
+    /// this table and should not pay a whole-table recompute.
     pub fn append(&mut self, batch: Batch) -> Result<()> {
         if batch.num_rows() == 0 {
             return Ok(());
@@ -225,7 +256,8 @@ impl Table {
             self.segment_rows,
             &self.seq_order,
         ));
-        self.stats = TableStats::compute(&self.data);
+        self.stats = OnceLock::from(TableStats::compute(&self.data));
+        self.join_builds = empty_join_builds(&self.data);
         for (column, idx) in &mut self.indexes {
             let ci = self.data.schema().index_of_name(column)?;
             idx.extend(self.data.column(ci));
@@ -279,6 +311,10 @@ impl Table {
             .map(|s| s.id)
             .collect()
     }
+}
+
+fn empty_join_builds(data: &Batch) -> Vec<OnceLock<Arc<JoinBuild>>> {
+    (0..data.num_columns()).map(|_| OnceLock::new()).collect()
 }
 
 /// A thread-safe name → table map.
@@ -368,6 +404,14 @@ impl Catalog {
 pub type CatalogRef = Arc<Catalog>;
 
 #[cfg(test)]
+impl Table {
+    /// The memoized build over `column`, if one has been made.
+    pub(crate) fn join_build_memo(&self, column: usize) -> Option<&Arc<JoinBuild>> {
+        self.join_builds[column].get()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::batch::schema_ref;
@@ -452,6 +496,59 @@ mod tests {
         let before = idx.clone();
         t.create_index("rtime").unwrap();
         assert_eq!(*t.index("rtime").unwrap(), before);
+    }
+
+    #[test]
+    fn statistics_and_join_builds_are_derived_from_the_current_rows() {
+        let budget = QueryBudget::unlimited();
+        // A fresh table computes nothing until first use.
+        let mut t = Table::new("t", sample_batch());
+        assert!(t.stats.get().is_none());
+        assert_eq!(*t.stats(), TableStats::compute(t.data()));
+        assert!(t.join_builds.iter().all(|b| b.get().is_none()));
+        let first: *const JoinBuild = t.join_build(0, &budget).unwrap();
+        assert!(t.join_builds[0].get().is_some());
+        assert!(std::ptr::eq(first, t.join_build(0, &budget).unwrap()));
+
+        // Append refreshes statistics eagerly and drops the builds.
+        t.append(sample_batch().take(&[1])).unwrap();
+        assert!(t.stats.get().is_some());
+        assert_eq!(*t.stats(), TableStats::compute(t.data()));
+        assert_eq!(t.stats().row_count, 3);
+        assert!(t.join_builds.iter().all(|b| b.get().is_none()));
+
+        // A clone that is then appended keeps neither the parent's
+        // statistics nor its build; the parent keeps both.
+        t.join_build(0, &budget).unwrap();
+        let parent_stats = t.stats().clone();
+        let mut clone = t.clone();
+        clone
+            .append(
+                Batch::from_rows(
+                    sample_batch().schema().clone(),
+                    &[vec![Value::str("e9"), Value::Int(90)]],
+                )
+                .unwrap(),
+            )
+            .unwrap();
+        assert_eq!(*clone.stats(), TableStats::compute(clone.data()));
+        assert_ne!(*clone.stats(), parent_stats);
+        assert!(clone.join_builds.iter().all(|b| b.get().is_none()));
+        assert_eq!(*t.stats(), parent_stats);
+        assert!(t.join_builds[0].get().is_some());
+
+        // A recovered table also waits for first use.
+        let recovered = Table::from_recovered(
+            "r",
+            clone.data().clone(),
+            clone.segments().to_vec(),
+            None,
+            Vec::new(),
+            &[],
+        )
+        .unwrap();
+        assert!(recovered.stats.get().is_none());
+        assert_eq!(*recovered.stats(), TableStats::compute(clone.data()));
     }
 
     #[test]

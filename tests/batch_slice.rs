@@ -4,9 +4,12 @@
 //! `b.take(&(o..o + l))` row for row, including windows of windows, whose
 //! column offsets compose. The suite also pins the checked
 //! [`Batch::try_slice`] contract: out-of-range windows return field-named
-//! errors instead of panicking.
+//! errors instead of panicking. Windows are also what the typed
+//! [`Column::concat`] reads, so its `Value` oracle lives here too.
 
 use deferred_cleansing::relational::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn batch(n: i64) -> Batch {
     let schema = schema_ref(Schema::new(vec![
@@ -95,4 +98,80 @@ fn try_slice_errors_are_field_named() {
     // In-range windows on the same batches still succeed.
     assert_eq!(flat.try_slice(4, 2).unwrap().num_rows(), 2);
     assert_eq!(window.try_slice(1, 2).unwrap().num_rows(), 2);
+}
+
+/// A random column of type `dt`: NULL-free, NULL-bearing or all-NULL.
+fn random_column(rng: &mut StdRng, dt: DataType, n: usize) -> Column {
+    let null_rate = [0.0, 0.3, 1.0][rng.gen_range(0..3usize)];
+    let values: Vec<Value> = (0..n)
+        .map(|_| {
+            if rng.gen_bool(null_rate) {
+                return Value::Null;
+            }
+            let x = rng.gen_range(-50..50i64);
+            match dt {
+                DataType::Bool => Value::Bool(x % 2 == 0),
+                DataType::Int => Value::Int(x),
+                DataType::Double => Value::Double(x as f64 / 4.0),
+                DataType::Str => Value::str(format!("s{x}")),
+            }
+        })
+        .collect();
+    Column::from_values(dt, &values).unwrap()
+}
+
+/// `Column::concat` copies each part's window by type; the oracle rebuilds
+/// the same rows one `Value` at a time. Parts are random columns of every
+/// type, with and without NULLs, empty or not, and often `slice` windows
+/// at non-zero offsets.
+#[test]
+fn typed_concat_matches_value_oracle() {
+    for seed in 0..200u64 {
+        let mut rng = StdRng::seed_from_u64(0xc0c0_0000 + seed);
+        let dt = [
+            DataType::Bool,
+            DataType::Int,
+            DataType::Double,
+            DataType::Str,
+        ][rng.gen_range(0..4usize)];
+        let parts: Vec<Column> = (0..rng.gen_range(1..6usize))
+            .map(|_| {
+                let n = rng.gen_range(0..80usize);
+                let c = random_column(&mut rng, dt, n);
+                if c.is_empty() || rng.gen_bool(0.3) {
+                    return c;
+                }
+                let offset = rng.gen_range(0..c.len());
+                let len = rng.gen_range(0..=c.len() - offset);
+                c.slice(offset, len)
+            })
+            .collect();
+        let refs: Vec<&Column> = parts.iter().collect();
+        let got = Column::concat(&refs).unwrap();
+
+        let mut oracle = ColumnBuilder::new(dt, 0);
+        for c in &parts {
+            for i in 0..c.len() {
+                oracle.push(&c.value(i)).unwrap();
+            }
+        }
+        let expected = oracle.finish();
+        assert_eq!(got.data_type(), dt, "seed {seed}");
+        assert_eq!(got.len(), expected.len(), "seed {seed}");
+        assert_eq!(got.null_count(), expected.null_count(), "seed {seed}");
+        assert_eq!(got, expected, "seed {seed}: rows differ");
+    }
+}
+
+/// Parts of different types are refused, naming both types.
+#[test]
+fn typed_concat_rejects_mixed_types() {
+    let ints = Column::from_values(DataType::Int, &[Value::Int(1)]).unwrap();
+    let strs = Column::from_values(DataType::Str, &[Value::str("a")]).unwrap();
+    let err = Column::concat(&[&ints, &strs.slice(1, 0)])
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("concat type mismatch"), "{err}");
+    assert!(err.contains("VARCHAR vs BIGINT"), "{err}");
+    assert!(Column::concat(&[]).is_err());
 }

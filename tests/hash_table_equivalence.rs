@@ -8,10 +8,16 @@
 //! with identical deterministic operator metrics. A direct adversarial
 //! test drives [`RawKeyTable`] with distinct keys sharing one 64-bit hash
 //! and checks that memcmp disambiguates while the collision counter ticks.
+//!
+//! Inner joins whose right input is an unfiltered scan on one key column
+//! probe the table's own memoized build. Their counters must not depend on
+//! whether the run filled the memo, an append must never be answered from
+//! a stale build, and threads racing the first build must agree.
 
 use dc_relational::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Barrier;
 
 const PARALLELISMS: [usize; 3] = [1, 2, 8];
 const CASES: u64 = 48;
@@ -142,27 +148,46 @@ fn random_filter(rng: &mut StdRng) -> Expr {
     }
 }
 
+/// An inner join of `left` with an unfiltered scan of `d` on one key
+/// column, which builds on `d`'s table-owned build. Shapes: Str keys (NULLs
+/// on both sides), Int keys, and Str keys through an aliased scan.
+fn dimension_join(left: LogicalPlan, shape: u32) -> LogicalPlan {
+    let (right, lkey, rkey) = match shape {
+        0 => (LogicalPlan::scan("d"), "epc", "gln"),
+        1 => (LogicalPlan::scan("d"), "qty", "code"),
+        _ => (LogicalPlan::scan_as("d", "x"), "epc", "x.gln"),
+    };
+    left.join(
+        right,
+        vec![Expr::col(lkey)],
+        vec![Expr::col(rkey)],
+        JoinType::Inner,
+    )
+}
+
+/// The left input of a random plan: `r`, sometimes filtered.
+fn random_reads_input(rng: &mut StdRng) -> LogicalPlan {
+    let plan = LogicalPlan::scan("r");
+    if rng.gen_bool(0.6) {
+        plan.filter(random_filter(rng))
+    } else {
+        plan
+    }
+}
+
 /// A random plan exercising one of the hash consumers: inner join, semi
 /// join, GROUP BY aggregation (Str / Int / Double / Bool and multi-column
 /// keys), or DISTINCT.
 fn random_hash_plan(rng: &mut StdRng) -> LogicalPlan {
-    let mut plan = LogicalPlan::scan("r");
-    if rng.gen_bool(0.6) {
-        plan = plan.filter(random_filter(rng));
-    }
-    match rng.gen_range(0..7u32) {
-        // Str join keys (NULLs on both sides).
-        0 => plan.join(
-            LogicalPlan::scan("d"),
+    let mut plan = random_reads_input(rng);
+    match rng.gen_range(0..9u32) {
+        shape @ 0..=1 => dimension_join(plan, shape),
+        7 => dimension_join(plan, 2),
+        // A filtered right scan builds per query.
+        8 => plan.join(
+            LogicalPlan::scan("d").filter(Expr::col("code").lt(Expr::lit(rng.gen_range(0..10i64)))),
             vec![Expr::col("epc")],
             vec![Expr::col("gln")],
-            JoinType::Inner,
-        ),
-        // Int join keys.
-        1 => plan.join(
-            LogicalPlan::scan("d"),
-            vec![Expr::col("qty")],
-            vec![Expr::col("code")],
             JoinType::Inner,
         ),
         2 => plan.join(
@@ -255,6 +280,10 @@ fn hash_path_matches_rowwise_oracle_on_random_plans() {
             oracle.stats.hash_ops, 0,
             "the rowwise oracle must not touch the hash kernels"
         );
+        assert!(
+            !probed_table_build(&oracle.metrics.unwrap().deterministic()),
+            "the rowwise oracle must build per query"
+        );
         assert_eq!(
             sans_hash(vectorized.stats),
             sans_hash(oracle.stats),
@@ -266,14 +295,16 @@ fn hash_path_matches_rowwise_oracle_on_random_plans() {
 
 /// The hash path stays parallelism-invariant: rows, merged stats (hash
 /// counters included), and deterministic per-operator metrics are
-/// identical at P ∈ {1, 2, 8}.
+/// identical at P ∈ {1, 2, 8}. The first run fills the table-owned join
+/// builds and the runs after it reuse them, so the first P = 1 run is
+/// repeated: a memo-filling run and a reusing one must also agree.
 #[test]
 fn hash_path_parallelism_invariant() {
     check("hash path parallelism invariance", |rng| {
         let cat = random_catalog(rng);
         let plan = random_hash_plan(rng);
         let mut baseline: Option<(Vec<Vec<Value>>, ExecStats, Option<DeterministicMetrics>)> = None;
-        for &p in &PARALLELISMS {
+        for &p in [1].iter().chain(&PARALLELISMS) {
             let mut ex = Executor::with_options(&cat, ExecOptions::with_parallelism(p));
             let batch = ex.execute(&plan).unwrap();
             let metrics = ex.metrics.as_ref().map(|m| m.deterministic());
@@ -286,6 +317,91 @@ fn hash_path_parallelism_invariant() {
                 }
             }
         }
+    });
+}
+
+/// Whether some hash join of the run probed a table-owned build, as its
+/// metrics label reports.
+fn probed_table_build(m: &DeterministicMetrics) -> bool {
+    m.label.ends_with(" (table)") || m.children.iter().any(probed_table_build)
+}
+
+/// Rows and counters of `plan` on `cat` at P = 1, and whether the run
+/// probed a table-owned build.
+fn run(cat: &Catalog, plan: &LogicalPlan, rowwise: bool) -> (Vec<Vec<Value>>, ExecStats, bool) {
+    let opts = ExecOptions::with_parallelism(1).with_rowwise_hash(rowwise);
+    let mut ex = Executor::with_options(cat, opts);
+    let batch = ex
+        .execute(plan)
+        .unwrap_or_else(|e| panic!("{e}\n{}", plan.display_indent()));
+    let probed = probed_table_build(&ex.metrics.unwrap().deterministic());
+    (rows_of(&batch), ex.stats, probed)
+}
+
+/// An append to the dimension table drops its build: after appending rows
+/// whose keys match reads the old dimension rows missed, a join over the
+/// catalog equals the same join over a fresh catalog holding the appended
+/// table, and the rowwise oracle.
+#[test]
+fn append_never_serves_a_stale_table_build() {
+    let mut changed = 0;
+    check("append drops the table build", |rng| {
+        let cat = random_catalog(rng);
+        let plan = dimension_join(random_reads_input(rng), rng.gen_range(0..3u32));
+        let (before, _, probed) = run(&cat, &plan, false);
+        assert!(probed, "no table build probed\n{}", plan.display_indent());
+
+        let extra: Vec<Vec<Value>> = (0..7)
+            .map(|k| {
+                vec![
+                    Value::str(format!("e{k}")),
+                    Value::Int(k),
+                    Value::str("appended"),
+                ]
+            })
+            .collect();
+        cat.append("d", Batch::from_rows(dim_schema(), &extra).unwrap())
+            .unwrap();
+        let fresh = Catalog::new();
+        fresh.register_shared(cat.get("r").unwrap());
+        fresh.register(Table::new("d", cat.get("d").unwrap().data().clone()));
+
+        let (after, stats, probed) = run(&cat, &plan, false);
+        assert!(probed, "the appended table's build was not probed");
+        let (expected, expected_stats, _) = run(&fresh, &plan, false);
+        assert_eq!(after, expected, "stale build\n{}", plan.display_indent());
+        assert_eq!(stats, expected_stats);
+        let (oracle, _, oracle_probed) = run(&cat, &plan, true);
+        assert_eq!(after, oracle, "rowwise oracle differs");
+        assert!(!oracle_probed, "the rowwise oracle builds per query");
+        if after != before {
+            changed += 1;
+        }
+    });
+    assert!(changed > 0, "no case appended a newly matching key");
+}
+
+/// Two threads released together race the first build of a fresh table;
+/// both get the rows and counters of the rowwise oracle's answer.
+#[test]
+fn racing_first_builds_agree() {
+    check("racing first builds", |rng| {
+        let cat = random_catalog(rng);
+        let plan = dimension_join(random_reads_input(rng), rng.gen_range(0..3u32));
+        let start = Barrier::new(2);
+        let (a, b) = std::thread::scope(|s| {
+            let racer = || {
+                start.wait();
+                run(&cat, &plan, false)
+            };
+            let a = s.spawn(racer);
+            let b = s.spawn(racer);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a, b, "racing runs differ\n{}", plan.display_indent());
+        assert!(a.2, "no table build probed\n{}", plan.display_indent());
+        assert_eq!(a.0, run(&cat, &plan, true).0, "rowwise oracle differs");
+        assert_eq!(a, run(&cat, &plan, false), "memoized run differs");
     });
 }
 
