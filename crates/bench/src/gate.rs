@@ -9,27 +9,17 @@
 //! noise is reported, not failed on.
 
 use dc_json::Json;
+use dc_relational::exec::{ExecStats, GateClass};
 
 /// Counter growth tolerated before the gate fails (5%).
 pub const DEFAULT_TOLERANCE: f64 = 0.05;
 
-/// Keys whose numeric values are deterministic work counters — gated.
+/// Deterministic keys outside the executor's counter registry that gate.
+/// The [`ExecStats`] counters carry their own class (see
+/// [`ExecStats::COUNTERS`]).
 pub const GATING_KEYS: &[&str] = &[
     "result_rows",
-    "rows_scanned",
-    "rows_sorted",
-    "sorts",
-    "sort_comparisons",
-    "window_accumulator_ops",
-    "join_probes",
-    "partitions",
     "eager_rows",
-    "segments_scanned",
-    "cache_misses",
-    // Partial rows the scatter-gather coordinator pulled from shard
-    // executors: growth means a shard stopped finishing its work locally
-    // (e.g. an aggregate no longer lowers to per-shard partials).
-    "shard_rows_merged",
     // Standing-query maintenance (the `stream` figure): growth in any of
     // these means incremental maintenance got more expensive — bigger
     // deltas, more rows re-cleansed, more cleansing work relative to a
@@ -40,10 +30,6 @@ pub const GATING_KEYS: &[&str] = &[
     "fallbacks",
     "recompute_window_ops",
     "delta_work_pct",
-    // Per-value hash computations spent by the normalized-key machinery
-    // (join build/probe, GROUP BY, DISTINCT, coordinator merge): growth
-    // means more rows or more key columns reached a hash operator.
-    "hash_ops",
     // Durable-log recovery (the `recovery` figure): more replayed records
     // means the log got chattier for the same epochs; more loaded or
     // cold-opened segment files means lazy materialization or zone-map
@@ -53,27 +39,12 @@ pub const GATING_KEYS: &[&str] = &[
     "segments_opened_cold",
 ];
 
-/// Deterministic keys that are reported when they drift but never gate:
-/// their "good" direction is context-dependent (more pruning and more
-/// cache hits are better), so the gate watches the costly siblings
-/// (`segments_scanned`, `cache_misses`) instead.
+/// Keys outside the counter registry that are reported when they drift
+/// but never gate: their "good" direction is context-dependent, so the
+/// gate watches a costly sibling instead.
 pub const INFORMATIONAL_KEYS: &[&str] = &[
-    "segments_total",
-    "segments_pruned",
-    "cache_hits",
-    "cache_invalidations",
-    // More elided sorts / more merged runs are generally good; the costly
-    // sibling `sort_comparisons` is what gates.
-    "sorts_elided",
-    "merge_runs_used",
     // Worker-sweep throughput: wall-clock derived, machine-dependent.
     "queries_per_sec",
-    // Hash-machinery observability: collisions depend on data, memcmps
-    // and encoded bytes track table sizes — the costly sibling that gates
-    // is `hash_ops`.
-    "hash_collisions",
-    "probe_memcmps",
-    "key_bytes_encoded",
     // More zone-refuted segment files is better; the costly sibling that
     // gates is `segments_opened_cold`.
     "segments_pruned_unopened",
@@ -96,9 +67,34 @@ pub const EXACT_KEYS: &[&str] = &[
     "as_of_rows",
 ];
 
-/// Wall-clock keys: reported, never gating.
-fn is_timing_key(key: &str) -> bool {
-    key == "millis" || key.ends_with("_ms")
+/// How the gate treats a numeric key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KeyClass {
+    /// A deterministic counter: gating, or informational (drift is a
+    /// note, never a failure).
+    Counter(GateClass),
+    /// Must match exactly (run configuration and answer stability).
+    Exact,
+    /// Wall-clock: counted, never judged.
+    Timing,
+}
+
+/// The class of a numeric key, or `None` when it is unclassified.
+pub fn classify(key: &str) -> Option<KeyClass> {
+    if key == "millis" || key.ends_with("_ms") {
+        Some(KeyClass::Timing)
+    } else if EXACT_KEYS.contains(&key) {
+        Some(KeyClass::Exact)
+    } else if GATING_KEYS.contains(&key) {
+        Some(KeyClass::Counter(GateClass::Gating))
+    } else if INFORMATIONAL_KEYS.contains(&key) {
+        Some(KeyClass::Counter(GateClass::Informational))
+    } else {
+        ExecStats::COUNTERS
+            .iter()
+            .find(|(name, _)| *name == key)
+            .map(|&(_, class)| KeyClass::Counter(class))
+    }
 }
 
 /// One gating counter that grew beyond tolerance.
@@ -357,48 +353,46 @@ fn compare_number(
     rep: &mut GateReport,
 ) {
     let key = key.unwrap_or("");
-    if is_timing_key(key) {
-        rep.timing_compared += 1;
-        return; // wall-clock: counted, never judged
-    }
-    if EXACT_KEYS.contains(&key) {
-        if base != cur {
-            rep.errors
-                .push(format!("{path}: config value {base} became {cur}"));
+    match classify(key) {
+        Some(KeyClass::Timing) => rep.timing_compared += 1,
+        Some(KeyClass::Exact) => {
+            if base != cur {
+                rep.errors
+                    .push(format!("{path}: config value {base} became {cur}"));
+            }
         }
-        return;
-    }
-    if GATING_KEYS.contains(&key) {
-        rep.counters_checked += 1;
-        let limit = base * (1.0 + tol);
-        if cur > limit {
-            rep.regressions.push(Regression {
-                path: path.to_string(),
-                key: key.to_string(),
-                baseline: base,
-                current: cur,
-                tolerance: tol,
-            });
-        } else if cur < base {
-            rep.improvements.push(format!("{path}: {base} -> {cur}"));
+        Some(KeyClass::Counter(GateClass::Gating)) => {
+            rep.counters_checked += 1;
+            let limit = base * (1.0 + tol);
+            if cur > limit {
+                rep.regressions.push(Regression {
+                    path: path.to_string(),
+                    key: key.to_string(),
+                    baseline: base,
+                    current: cur,
+                    tolerance: tol,
+                });
+            } else if cur < base {
+                rep.improvements.push(format!("{path}: {base} -> {cur}"));
+            }
         }
-        return;
-    }
-    if INFORMATIONAL_KEYS.contains(&key) {
-        if base != cur {
-            rep.notes.push(format!(
-                "{path}: {base} -> {cur} (informational, not gated)"
-            ));
+        Some(KeyClass::Counter(GateClass::Informational)) => {
+            if base != cur {
+                rep.notes.push(format!(
+                    "{path}: {base} -> {cur} (informational, not gated)"
+                ));
+            }
         }
-        return;
-    }
-    // Unclassified numeric key: a silent change here would dodge the gate,
-    // so any drift is an error until the key is classified above.
-    if base != cur {
-        rep.errors.push(format!(
-            "{path}: unclassified counter '{key}' changed {base} -> {cur} \
-             (add it to GATING_KEYS or the timing set)"
-        ));
+        // Unclassified numeric key: a silent change here would dodge the
+        // gate, so any drift is an error until the key is classified.
+        None => {
+            if base != cur {
+                rep.errors.push(format!(
+                    "{path}: unclassified counter '{key}' changed {base} -> {cur} \
+                     (add it to the counter registry, GATING_KEYS or the timing set)"
+                ));
+            }
+        }
     }
 }
 
@@ -602,6 +596,50 @@ mod tests {
         assert_eq!(rep.regressions[0].key, "shard_rows_merged");
         // Identical runs pass.
         assert!(compare(&mk(4, 100), &mk(4, 100), DEFAULT_TOLERANCE).passed());
+    }
+
+    #[test]
+    fn every_bench_row_key_and_registry_counter_is_classified() {
+        let row = crate::harness::Measurement {
+            variant: "q_e",
+            millis: 1.0,
+            result_rows: 1,
+            stats: ExecStats::default(),
+            window_eval_ms: 0.5,
+            parallelism: 1,
+            chosen: "x".into(),
+        }
+        .to_json();
+        let Json::Obj(members) = row else {
+            panic!("a bench row is an object")
+        };
+        for (key, v) in &members {
+            if matches!(v, Json::Num(_)) {
+                assert!(
+                    classify(key).is_some(),
+                    "bench key '{key}' has no gate class"
+                );
+            }
+        }
+        // Registry counters take their class from the registry alone: none
+        // may be shadowed by a hand-kept list or the timing suffix.
+        for (name, class) in ExecStats::COUNTERS {
+            assert!(
+                members.iter().any(|(k, _)| k == name),
+                "counter '{name}' missing from bench rows"
+            );
+            assert_eq!(
+                classify(name),
+                Some(KeyClass::Counter(*class)),
+                "counter '{name}'"
+            );
+            assert!(
+                !GATING_KEYS.contains(name)
+                    && !INFORMATIONAL_KEYS.contains(name)
+                    && !EXACT_KEYS.contains(name),
+                "counter '{name}' is also classified by hand"
+            );
+        }
     }
 
     #[test]

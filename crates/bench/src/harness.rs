@@ -2,6 +2,7 @@
 
 use dc_core::{DeferredCleansingSystem, Strategy};
 use dc_json::Json;
+use dc_relational::exec::ExecStats;
 use dc_relational::table::Catalog;
 use dc_rfidgen::{generate_into, Dataset, GenConfig};
 use std::sync::Arc;
@@ -40,30 +41,8 @@ pub struct Measurement {
     pub variant: &'static str,
     pub millis: f64,
     pub result_rows: usize,
-    pub rows_scanned: u64,
-    pub rows_sorted: u64,
-    pub sorts: u64,
-    /// Sort comparisons actually performed (run detection + merging).
-    pub sort_comparisons: u64,
-    /// Sorts skipped entirely because the input was a single run.
-    pub sorts_elided: u64,
-    /// Pre-sorted runs consumed by merging (non-elided) sorts.
-    pub merge_runs_used: u64,
-    /// Window accumulator ops: frame positions entering or leaving an
-    /// aggregate state. Frame-width independent for incremental kernels.
-    pub window_accumulator_ops: u64,
-    pub join_probes: u64,
-    /// Per-value hash computations by the normalized-key machinery (join
-    /// build/probe, GROUP BY, DISTINCT, coordinator merge).
-    pub hash_ops: u64,
-    /// Hash-equal, byte-unequal table probes (disambiguated by memcmp).
-    pub hash_collisions: u64,
-    /// Key byte comparisons spent resolving table probes.
-    pub probe_memcmps: u64,
-    /// Normalized key bytes written by the batch encoders.
-    pub key_bytes_encoded: u64,
-    /// Window partitions evaluated (identical at any parallelism).
-    pub partitions: u64,
+    /// The run's work counters, one bench key per registry counter.
+    pub stats: ExecStats,
     /// Wall-clock spent in window evaluation — the Φ_C hot path, and the
     /// quantity `--threads` is expected to improve.
     pub window_eval_ms: f64,
@@ -71,44 +50,20 @@ pub struct Measurement {
     pub parallelism: usize,
     /// The rewrite the engine picked (for Auto / reporting).
     pub chosen: String,
-    /// Storage segments considered / zone-map pruned / scanned.
-    pub segments_total: u64,
-    pub segments_pruned: u64,
-    pub segments_scanned: u64,
-    /// Cleansed-sequence cache activity of this run.
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub cache_invalidations: u64,
 }
 
 impl Measurement {
     pub fn to_json(&self) -> Json {
-        Json::obj()
+        let mut row = Json::obj()
             .set("variant", self.variant)
             .set("millis", Json::Num(self.millis))
-            .set("result_rows", self.result_rows)
-            .set("rows_scanned", self.rows_scanned)
-            .set("rows_sorted", self.rows_sorted)
-            .set("sorts", self.sorts)
-            .set("sort_comparisons", self.sort_comparisons)
-            .set("sorts_elided", self.sorts_elided)
-            .set("merge_runs_used", self.merge_runs_used)
-            .set("window_accumulator_ops", self.window_accumulator_ops)
-            .set("join_probes", self.join_probes)
-            .set("hash_ops", self.hash_ops)
-            .set("hash_collisions", self.hash_collisions)
-            .set("probe_memcmps", self.probe_memcmps)
-            .set("key_bytes_encoded", self.key_bytes_encoded)
-            .set("partitions", self.partitions)
-            .set("window_eval_ms", Json::Num(self.window_eval_ms))
+            .set("result_rows", self.result_rows);
+        for (name, v) in self.stats.iter() {
+            row = row.set(name, v);
+        }
+        row.set("window_eval_ms", Json::Num(self.window_eval_ms))
             .set("parallelism", self.parallelism)
             .set("chosen", self.chosen.as_str())
-            .set("segments_total", self.segments_total)
-            .set("segments_pruned", self.segments_pruned)
-            .set("segments_scanned", self.segments_scanned)
-            .set("cache_hits", self.cache_hits)
-            .set("cache_misses", self.cache_misses)
-            .set("cache_invalidations", self.cache_invalidations)
     }
 }
 
@@ -190,28 +145,10 @@ pub fn run_variant(
         variant: variant.label(),
         millis,
         result_rows: rows,
-        rows_scanned: report.stats.rows_scanned,
-        rows_sorted: report.stats.rows_sorted,
-        sorts: report.stats.sorts_performed,
-        sort_comparisons: report.stats.sort_comparisons,
-        sorts_elided: report.stats.sorts_elided,
-        merge_runs_used: report.stats.merge_runs_used,
-        window_accumulator_ops: report.stats.window_accumulator_ops,
-        join_probes: report.stats.join_probes,
-        hash_ops: report.stats.hash_ops,
-        hash_collisions: report.stats.hash_collisions,
-        probe_memcmps: report.stats.probe_memcmps,
-        key_bytes_encoded: report.stats.key_bytes_encoded,
-        partitions: report.stats.partitions_executed,
+        stats: report.stats,
         window_eval_ms: report.window_eval_nanos as f64 / 1e6,
         parallelism: report.parallelism,
         chosen: report.chosen.clone(),
-        segments_total: report.stats.segments_total,
-        segments_pruned: report.stats.segments_pruned,
-        segments_scanned: report.stats.segments_scanned,
-        cache_hits: report.stats.seq_cache_hits,
-        cache_misses: report.stats.seq_cache_misses,
-        cache_invalidations: report.stats.seq_cache_invalidations,
     };
     match variant {
         Variant::Dirty => {
@@ -258,7 +195,7 @@ mod tests {
         assert_eq!(qe.result_rows, qj.result_rows);
         assert_eq!(qe.result_rows, qn.result_rows);
         // Naive scans at least as much as the expanded rewrite.
-        assert!(qn.rows_scanned >= qe.rows_scanned);
+        assert!(qn.stats.rows_scanned >= qe.stats.rows_scanned);
         let _ = dirty;
     }
 

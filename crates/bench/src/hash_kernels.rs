@@ -4,7 +4,7 @@
 //! `Vec<Value>` oracle (`rowwise == true` on the same entry points).
 //!
 //! The interesting numbers are not wall-clock (printed as colour only)
-//! but the deterministic [`HashStats`] counters and the encoder's
+//! but the deterministic hash counters of [`ExecStats`] and the encoder's
 //! allocation accounting: the fixed-width encode path must do a
 //! **constant number of allocations regardless of row count**, and probe
 //! memcmps can never exceed key lookups plus counted collisions (a memcmp
@@ -12,13 +12,14 @@
 //! are looking for or a counted collision).
 //!
 //! [`RawKeyTable`]: dc_relational::hash::RawKeyTable
-//! [`HashStats`]: dc_relational::hash::HashStats
+//! [`ExecStats`]: dc_relational::exec::ExecStats
 
 use dc_relational::agg::{distinct_with, hash_aggregate_with, AggExpr, AggFunc};
 use dc_relational::batch::{schema_ref, Batch};
 use dc_relational::column::ColumnBuilder;
+use dc_relational::exec::ExecStats;
 use dc_relational::expr::Expr;
-use dc_relational::hash::{encode_keys, HashStats, NullKeys};
+use dc_relational::hash::{encode_keys, NullKeys};
 use dc_relational::join::{hash_join_with, JoinType};
 use dc_relational::physical::QueryBudget;
 use dc_relational::schema::{Field, Schema, SchemaRef};
@@ -146,7 +147,7 @@ pub fn hash_kernel_ablation(rows: usize, iters: usize) -> Vec<HashKernelPoint> {
     ] {
         let key_cols: Vec<_> = cols.iter().map(|&c| fact.column(c).clone()).collect();
         let (enc, vectorized_ms) = timed(iters, || {
-            let mut stats = HashStats::default();
+            let mut stats = ExecStats::default();
             let enc = encode_keys(&key_cols, rows, NullKeys::Match, &mut stats).unwrap();
             (enc, stats)
         });
@@ -174,7 +175,7 @@ pub fn hash_kernel_ablation(rows: usize, iters: usize) -> Vec<HashKernelPoint> {
 
     // End-to-end consumers: both lanes run the same entry point, with
     // `rowwise` selecting the retained `Vec<Value>` oracle.
-    type Run = Box<dyn Fn(bool) -> (u64, u64, HashStats)>;
+    type Run = Box<dyn Fn(bool) -> (u64, u64, ExecStats)>;
     let join = |left_keys: Vec<Expr>, right_keys: Vec<Expr>| -> Run {
         let (fact, dim, budget) = (fact.clone(), dim.clone(), budget.clone());
         Box::new(move |rowwise| {
@@ -188,8 +189,8 @@ pub fn hash_kernel_ablation(rows: usize, iters: usize) -> Vec<HashKernelPoint> {
                 rowwise,
             )
             .unwrap();
-            let lookups = dim.num_rows() as u64 + work.probes;
-            (out.num_rows() as u64, lookups, work.hash)
+            let lookups = dim.num_rows() as u64 + work.join_probes;
+            (out.num_rows() as u64, lookups, work)
         })
     };
     let cases: Vec<(&'static str, u64, Run)> = vec![
@@ -206,7 +207,7 @@ pub fn hash_kernel_ablation(rows: usize, iters: usize) -> Vec<HashKernelPoint> {
         ("group_by_str", fact.num_rows() as u64, {
             let fact = fact.clone();
             Box::new(move |rowwise| {
-                let mut stats = HashStats::default();
+                let mut stats = ExecStats::default();
                 let out = hash_aggregate_with(
                     &fact,
                     &[(Expr::col("epc"), "epc".into())],
@@ -230,7 +231,7 @@ pub fn hash_kernel_ablation(rows: usize, iters: usize) -> Vec<HashKernelPoint> {
         ("distinct", fact.num_rows() as u64, {
             let fact = fact.clone();
             Box::new(move |rowwise| {
-                let mut stats = HashStats::default();
+                let mut stats = ExecStats::default();
                 let out = distinct_with(&fact, rowwise, &mut stats).unwrap();
                 (out.num_rows() as u64, fact.num_rows() as u64, stats)
             })

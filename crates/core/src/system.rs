@@ -436,8 +436,7 @@ impl DeferredCleansingSystem {
     /// Run a query directly on the (dirty) data — the paper's baseline `q`.
     /// The result is generally *not* the correct cleansed answer.
     pub fn query_dirty(&self, sql: &str) -> Result<Batch> {
-        let plan = plan_sql(sql, &self.catalog)?;
-        Executor::with_options(&self.catalog, self.exec_options).execute(&plan)
+        Ok(self.query_dirty_with_report(sql)?.0)
     }
 
     /// [`DeferredCleansingSystem::query_dirty`] with an execution report.
@@ -476,8 +475,8 @@ impl DeferredCleansingSystem {
     /// EXPLAIN / EXPLAIN ANALYZE: rewrite an application query and report
     /// the decision trace, the chosen logical plan, and the lowered
     /// physical plan. With `analyze` the query is also executed and the
-    /// report carries per-operator metrics (rows in/out, comparisons,
-    /// partitions) for every physical operator.
+    /// report carries per-operator metrics (rows in/out and the node's own
+    /// work counters) for every physical operator.
     pub fn explain_report(
         &self,
         application: &str,
@@ -538,9 +537,9 @@ impl DeferredCleansingSystem {
         let (trace, metrics, result_rows, cache) = match run {
             Some(r) => {
                 let cache = cached.then_some(CacheActivity {
-                    hits: r.stats.seq_cache_hits,
-                    misses: r.stats.seq_cache_misses,
-                    invalidations: r.stats.seq_cache_invalidations,
+                    hits: r.stats.cache_hits,
+                    misses: r.stats.cache_misses,
+                    invalidations: r.stats.cache_invalidations,
                 });
                 (r.decision_trace(), r.metrics, Some(r.result_rows), cache)
             }
@@ -772,13 +771,13 @@ mod tests {
         // The flat counters and the metrics tree agree on window partitions.
         let mut partitions = 0;
         fn sum_partitions(m: &dc_relational::physical::OperatorMetrics, acc: &mut u64) {
-            *acc += m.partitions;
+            *acc += m.stats.partitions;
             for c in &m.children {
                 sum_partitions(c, acc);
             }
         }
         sum_partitions(m, &mut partitions);
-        assert_eq!(partitions, report.stats.partitions_executed);
+        assert_eq!(partitions, report.stats.partitions);
         assert_eq!(report.decision_trace().chosen, report.chosen);
     }
 
@@ -857,14 +856,14 @@ mod tests {
         let (cold, cold_rep) = sys
             .query_with_strategy("app", sql, Strategy::JoinBack)
             .unwrap();
-        assert!(cold_rep.stats.seq_cache_misses > 0);
-        assert_eq!(cold_rep.stats.seq_cache_hits, 0);
+        assert!(cold_rep.stats.cache_misses > 0);
+        assert_eq!(cold_rep.stats.cache_hits, 0);
 
         let (warm, warm_rep) = sys
             .query_with_strategy("app", sql, Strategy::JoinBack)
             .unwrap();
-        assert!(warm_rep.stats.seq_cache_hits > 0);
-        assert_eq!(warm_rep.stats.seq_cache_misses, 0);
+        assert!(warm_rep.stats.cache_hits > 0);
+        assert_eq!(warm_rep.stats.cache_misses, 0);
         assert_eq!(warm.sorted_rows(), cold.sorted_rows());
 
         // An uncached system agrees byte for byte.
@@ -889,7 +888,7 @@ mod tests {
         let (after, after_rep) = sys
             .query_with_strategy("app", sql, Strategy::JoinBack)
             .unwrap();
-        assert!(after_rep.stats.seq_cache_invalidations >= 1);
+        assert!(after_rep.stats.cache_invalidations >= 1);
         let fresh = system();
         fresh.define_rule("app", DUP).unwrap();
         let extra2 = Batch::from_rows(
@@ -908,7 +907,7 @@ mod tests {
 
         // Lifetime counters accumulate across runs.
         let total = sys.cleanse_cache_stats().unwrap();
-        assert!(total.hits >= warm_rep.stats.seq_cache_hits);
+        assert!(total.hits >= warm_rep.stats.cache_hits);
         assert!(total.invalidations >= 1);
     }
 

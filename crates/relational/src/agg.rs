@@ -8,8 +8,9 @@
 use crate::batch::Batch;
 use crate::column::{Column, ColumnBuilder};
 use crate::error::{Error, Result};
+use crate::exec::ExecStats;
 use crate::expr::Expr;
-use crate::hash::{encode_keys, HashStats, NullKeys, RawKeyTable};
+use crate::hash::{encode_keys, NullKeys, RawKeyTable};
 use crate::schema::{Field, Schema};
 use crate::value::{DataType, Value};
 use std::collections::{HashMap, HashSet};
@@ -218,7 +219,7 @@ pub fn hash_aggregate(
     group_by: &[(Expr, String)],
     aggs: &[AggExpr],
 ) -> Result<Batch> {
-    let mut hash = HashStats::default();
+    let mut hash = ExecStats::default();
     hash_aggregate_with(input, group_by, aggs, false, &mut hash)
 }
 
@@ -230,7 +231,7 @@ pub fn hash_aggregate_with(
     group_by: &[(Expr, String)],
     aggs: &[AggExpr],
     rowwise: bool,
-    hash: &mut HashStats,
+    hash: &mut ExecStats,
 ) -> Result<Batch> {
     let n = input.num_rows();
     let group_cols: Vec<Column> = group_by
@@ -350,12 +351,12 @@ pub fn hash_aggregate_with(
 /// Convenience wrapper over [`distinct_with`] (vectorized hash path,
 /// counters discarded).
 pub fn distinct(input: &Batch) -> Batch {
-    let mut hash = HashStats::default();
+    let mut hash = ExecStats::default();
     distinct_with(input, false, &mut hash).expect("distinct encoding cannot fail")
 }
 
 /// [`distinct`] with an explicit path selector and hash-work counters.
-pub fn distinct_with(input: &Batch, rowwise: bool, hash: &mut HashStats) -> Result<Batch> {
+pub fn distinct_with(input: &Batch, rowwise: bool, hash: &mut ExecStats) -> Result<Batch> {
     let n = input.num_rows();
     let mut keep = Vec::new();
     if rowwise {

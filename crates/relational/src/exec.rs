@@ -16,143 +16,135 @@ use crate::physical::{lower, ExecContext, ExecOptions, OperatorMetrics, QueryBud
 use crate::plan::LogicalPlan;
 use crate::table::Catalog;
 
-/// Deterministic work counters accumulated during execution.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecStats {
+/// How the bench gate treats a counter in `BENCH_repro.json`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GateClass {
+    /// Growth beyond the tolerance fails the gate: the costly quantity.
+    Gating,
+    /// Reported when it drifts, never gating: its good direction depends
+    /// on context (more pruning or more cache hits is better), so a costly
+    /// sibling gates instead.
+    Informational,
+}
+
+/// The counter registry: each work counter is declared once, with its doc
+/// and gate class, and the macro derives the [`ExecStats`] struct, its
+/// arithmetic, iteration in declaration order, and the class table. Every
+/// consumer (per-operator metrics, EXPLAIN ANALYZE, bench rows, the bench
+/// gate) iterates the registry, so adding a counter is one line here plus
+/// its increment site.
+macro_rules! counters {
+    ($($(#[doc = $doc:literal])+ $name:ident: $class:ident,)+) => {
+        /// Deterministic work counters accumulated during execution.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct ExecStats {
+            $($(#[doc = $doc])+ pub $name: u64,)+
+        }
+
+        impl ExecStats {
+            /// Every counter's name and gate class, in declaration order.
+            pub const COUNTERS: &'static [(&'static str, GateClass)] =
+                &[$((stringify!($name), GateClass::$class),)+];
+
+            pub fn add(&mut self, other: &ExecStats) {
+                $(self.$name += other.$name;)+
+            }
+
+            /// Subtract `other`, counter by counter. `other` must be an
+            /// earlier reading of the same accumulation.
+            pub fn sub(&mut self, other: &ExecStats) {
+                $(self.$name -= other.$name;)+
+            }
+
+            /// `(name, value)` for every counter, in declaration order.
+            pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($name), self.$name),)+].into_iter()
+            }
+        }
+    };
+}
+
+counters! {
     /// Rows fetched from base tables (after index narrowing, before residual filters).
-    pub rows_scanned: u64,
-    /// Scans answered through an ordered index.
-    pub index_scans: u64,
+    rows_scanned: Gating,
+    /// Scans answered through an ordered index (more is better;
+    /// `full_scans` gates).
+    index_scans: Informational,
     /// Scans that had to read the whole table.
-    pub full_scans: u64,
+    full_scans: Gating,
     /// Rows passed through explicit or window-implied sorts.
-    pub rows_sorted: u64,
+    rows_sorted: Gating,
     /// Number of sort operations performed.
-    pub sorts_performed: u64,
+    sorts: Gating,
     /// Key comparisons performed by sorts (run detection/verification plus
     /// merging) — the machine-independent sort cost the run-aware pipeline
     /// shrinks.
-    pub sort_comparisons: u64,
+    sort_comparisons: Gating,
     /// Sorts whose input turned out to be a single non-descending run and
-    /// was passed through unchanged.
-    pub sorts_elided: u64,
+    /// was passed through unchanged (more is better; `sort_comparisons`
+    /// gates).
+    sorts_elided: Informational,
     /// Pre-sorted runs consumed by k-way merges (sum of k over merging
     /// sorts; elided and fully-degenerate sorts contribute 0 and n).
-    pub merge_runs_used: u64,
+    /// Informational: `sort_comparisons` gates.
+    merge_runs_used: Informational,
     /// Window accumulator operations: values entering or leaving a sliding
     /// aggregate state (plus per-frame recomputation work on the fallback
     /// path). Amortized O(1) per row for the incremental kernels, so this
     /// grows with partition size, not frame width. Identical at any
     /// parallelism.
-    pub window_accumulator_ops: u64,
-    /// Hash-join probe operations.
-    pub join_probes: u64,
+    window_accumulator_ops: Gating,
+    /// Hash-join probe operations (one per probe-side row).
+    join_probes: Gating,
     /// Window partitions evaluated (the unit of Φ_C parallel distribution;
     /// counted identically at any parallelism).
-    pub partitions_executed: u64,
+    partitions: Gating,
     /// Segments considered by zone-map pruning across filtered scans.
-    pub segments_total: u64,
-    /// Segments skipped because their zone maps exclude the scan predicate.
-    pub segments_pruned: u64,
+    /// Informational: `segments_scanned` gates.
+    segments_total: Informational,
+    /// Segments skipped because their zone maps exclude the scan predicate
+    /// (more is better; `segments_scanned` gates).
+    segments_pruned: Informational,
     /// Segments that survived pruning (total − pruned).
-    pub segments_scanned: u64,
-    /// Cleansed-sequence cache hits (join-back rewrite with caching on).
-    pub seq_cache_hits: u64,
-    /// Cleansed-sequence cache misses.
-    pub seq_cache_misses: u64,
+    segments_scanned: Gating,
+    /// Cleansed-sequence cache hits (join-back rewrite with caching on;
+    /// more is better, `cache_misses` gates).
+    cache_hits: Informational,
+    /// Cleansed-sequence cache misses: each one re-runs cleansing work.
+    cache_misses: Gating,
     /// Cleansed-sequence cache entries invalidated by appends.
-    pub seq_cache_invalidations: u64,
+    /// Informational: `cache_misses` gates.
+    cache_invalidations: Informational,
     /// Partial rows received from shard executors and combined by the
-    /// scatter-gather coordinator (0 for unsharded execution).
-    pub shard_rows_merged: u64,
+    /// scatter-gather coordinator (0 for unsharded execution). Growth means
+    /// a shard stopped finishing its work locally (e.g. an aggregate no
+    /// longer lowers to per-shard partials).
+    shard_rows_merged: Gating,
     /// Delta rows applied to standing-query state (inserted + deleted +
     /// updated rows across incremental maintenance steps; 0 outside the
     /// streaming subsystem).
-    pub maintenance_delta_rows: u64,
+    maintenance_delta_rows: Gating,
     /// Rows scanned by ckey-scoped maintenance re-executions — the
     /// incremental work a standing query pays per publish, compared by the
     /// bench gate against the cost of full recomputation.
-    pub maintenance_scoped_rows: u64,
+    maintenance_scoped_rows: Gating,
     /// Maintenance steps that fell back to full recompute-and-diff.
-    pub maintenance_fallbacks: u64,
+    maintenance_fallbacks: Gating,
     /// Per-value hash computations by the vectorized hash kernels (rows ×
     /// key columns across join build/probe, aggregation, DISTINCT, and
-    /// scatter merge). 0 on the row-wise oracle path.
-    pub hash_ops: u64,
+    /// scatter merge). 0 on the row-wise oracle path. Growth means more
+    /// rows or more key columns reached a hash operator.
+    hash_ops: Gating,
     /// Full 64-bit hash matches whose normalized keys compared unequal —
-    /// genuine collisions resolved by memcmp.
-    pub hash_collisions: u64,
-    /// Normalized-key memcmps on candidate (hash-equal) table entries.
-    pub probe_memcmps: u64,
-    /// Bytes written into normalized-key arenas.
-    pub key_bytes_encoded: u64,
-}
-
-impl ExecStats {
-    pub fn add(&mut self, other: &ExecStats) {
-        // Exhaustive destructuring: adding a counter without merging it here
-        // is a compile error, not a silently dropped statistic.
-        let ExecStats {
-            rows_scanned,
-            index_scans,
-            full_scans,
-            rows_sorted,
-            sorts_performed,
-            sort_comparisons,
-            sorts_elided,
-            merge_runs_used,
-            window_accumulator_ops,
-            join_probes,
-            partitions_executed,
-            segments_total,
-            segments_pruned,
-            segments_scanned,
-            seq_cache_hits,
-            seq_cache_misses,
-            seq_cache_invalidations,
-            shard_rows_merged,
-            maintenance_delta_rows,
-            maintenance_scoped_rows,
-            maintenance_fallbacks,
-            hash_ops,
-            hash_collisions,
-            probe_memcmps,
-            key_bytes_encoded,
-        } = other;
-        self.rows_scanned += rows_scanned;
-        self.index_scans += index_scans;
-        self.full_scans += full_scans;
-        self.rows_sorted += rows_sorted;
-        self.sorts_performed += sorts_performed;
-        self.sort_comparisons += sort_comparisons;
-        self.sorts_elided += sorts_elided;
-        self.merge_runs_used += merge_runs_used;
-        self.window_accumulator_ops += window_accumulator_ops;
-        self.join_probes += join_probes;
-        self.partitions_executed += partitions_executed;
-        self.segments_total += segments_total;
-        self.segments_pruned += segments_pruned;
-        self.segments_scanned += segments_scanned;
-        self.seq_cache_hits += seq_cache_hits;
-        self.seq_cache_misses += seq_cache_misses;
-        self.seq_cache_invalidations += seq_cache_invalidations;
-        self.shard_rows_merged += shard_rows_merged;
-        self.maintenance_delta_rows += maintenance_delta_rows;
-        self.maintenance_scoped_rows += maintenance_scoped_rows;
-        self.maintenance_fallbacks += maintenance_fallbacks;
-        self.hash_ops += hash_ops;
-        self.hash_collisions += hash_collisions;
-        self.probe_memcmps += probe_memcmps;
-        self.key_bytes_encoded += key_bytes_encoded;
-    }
-
-    /// Fold hash-kernel counters into the executor-level statistics.
-    pub fn add_hash(&mut self, h: &crate::hash::HashStats) {
-        self.hash_ops += h.hash_ops;
-        self.hash_collisions += h.hash_collisions;
-        self.probe_memcmps += h.probe_memcmps;
-        self.key_bytes_encoded += h.key_bytes_encoded;
-    }
+    /// genuine collisions resolved by memcmp. Data-dependent, so
+    /// informational: `hash_ops` gates.
+    hash_collisions: Informational,
+    /// Normalized-key memcmps on candidate (hash-equal) table entries
+    /// (tracks table sizes; `hash_ops` gates).
+    probe_memcmps: Informational,
+    /// Bytes written into normalized-key arenas (tracks table sizes;
+    /// `hash_ops` gates).
+    key_bytes_encoded: Informational,
 }
 
 /// Executes logical plans against a catalog.
@@ -415,12 +407,12 @@ mod tests {
         let cat = catalog();
         let mut ex = Executor::new(&cat);
         ex.execute(&count_window(false)).unwrap();
-        assert_eq!(ex.stats.sorts_performed, 1);
+        assert_eq!(ex.stats.sorts, 1);
 
         let mut ex2 = Executor::new(&cat);
         ex2.execute(&count_window(true)).unwrap();
         // One explicit sort; the window node itself does not re-sort.
-        assert_eq!(ex2.stats.sorts_performed, 1);
+        assert_eq!(ex2.stats.sorts, 1);
     }
 
     #[test]
@@ -429,7 +421,7 @@ mod tests {
         let mut ex = Executor::new(&cat);
         ex.execute(&count_window(false)).unwrap();
         // 10 distinct epc values → 10 partitions, at any parallelism.
-        assert_eq!(ex.stats.partitions_executed, 10);
+        assert_eq!(ex.stats.partitions, 10);
 
         let mut par = Executor::with_options(&cat, ExecOptions::with_parallelism(4));
         par.execute(&count_window(false)).unwrap();

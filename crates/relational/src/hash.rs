@@ -41,31 +41,8 @@
 
 use crate::column::{Column, ColumnData};
 use crate::error::{Error, Result};
+use crate::exec::ExecStats;
 use crate::value::Value;
-
-/// Work counters for the hash path. Parallelism independent (hashing
-/// happens inside breaker operators over their whole input), so they are
-/// safe to gate on in CI.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HashStats {
-    /// Per-value hash computations (rows × key columns).
-    pub hash_ops: u64,
-    /// Full 64-bit hash matches whose keys compared unequal.
-    pub hash_collisions: u64,
-    /// Arena memcmps performed on candidate (hash-equal) entries.
-    pub probe_memcmps: u64,
-    /// Bytes written into normalized-key arenas.
-    pub key_bytes_encoded: u64,
-}
-
-impl HashStats {
-    pub fn merge(&mut self, other: &HashStats) {
-        self.hash_ops += other.hash_ops;
-        self.hash_collisions += other.hash_collisions;
-        self.probe_memcmps += other.probe_memcmps;
-        self.key_bytes_encoded += other.key_bytes_encoded;
-    }
-}
 
 /// How NULL key parts behave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -228,7 +205,7 @@ pub fn encode_keys(
     cols: &[Column],
     rows: usize,
     nulls: NullKeys,
-    stats: &mut HashStats,
+    stats: &mut ExecStats,
 ) -> Result<EncodedKeys> {
     for c in cols {
         if c.len() < rows {
@@ -502,8 +479,8 @@ struct TableEntry {
 /// doubles as the deterministic "first seen" group ordinal. Lookups probe
 /// linearly, compare the full 64-bit hash first, and memcmp the arena only
 /// on a hash match — every memcmp is counted in
-/// [`HashStats::probe_memcmps`], and a hash match with unequal bytes counts
-/// one [`HashStats::hash_collisions`].
+/// [`ExecStats::probe_memcmps`], and a hash match with unequal bytes counts
+/// one [`ExecStats::hash_collisions`].
 #[derive(Debug)]
 pub struct RawKeyTable {
     arena: Vec<u8>,
@@ -545,7 +522,7 @@ impl RawKeyTable {
     }
 
     #[inline]
-    fn entry_matches(&self, slot: u32, hash: u64, key: &[u8], stats: &mut HashStats) -> bool {
+    fn entry_matches(&self, slot: u32, hash: u64, key: &[u8], stats: &mut ExecStats) -> bool {
         let e = &self.entries[slot as usize];
         if e.hash != hash {
             return false;
@@ -561,7 +538,7 @@ impl RawKeyTable {
 
     /// Find-or-insert. Returns `(slot, inserted)`; slots are dense and
     /// first-insert ordered.
-    pub fn insert(&mut self, hash: u64, key: &[u8], stats: &mut HashStats) -> (usize, bool) {
+    pub fn insert(&mut self, hash: u64, key: &[u8], stats: &mut ExecStats) -> (usize, bool) {
         if (self.entries.len() + 1) * 8 > self.buckets.len() * 7 {
             self.grow();
         }
@@ -589,7 +566,7 @@ impl RawKeyTable {
     }
 
     /// Lookup without insertion. Returns the slot of the matching key.
-    pub fn get(&self, hash: u64, key: &[u8], stats: &mut HashStats) -> Option<usize> {
+    pub fn get(&self, hash: u64, key: &[u8], stats: &mut ExecStats) -> Option<usize> {
         let mask = self.buckets.len() - 1;
         let mut b = (hash as usize) & mask;
         loop {
@@ -637,7 +614,7 @@ mod tests {
         // all-fixed or forced variable-width by a Str sibling.
         let ints = col(DataType::Int, &[Value::Int(7), Value::Int(-1)]);
         let strs = col(DataType::Str, &[Value::str("a"), Value::str("b")]);
-        let mut st = HashStats::default();
+        let mut st = ExecStats::default();
         let fixed = encode_keys(std::slice::from_ref(&ints), 2, NullKeys::Match, &mut st).unwrap();
         let var = encode_keys(&[ints, strs], 2, NullKeys::Match, &mut st).unwrap();
         // Int part of the var-layout key equals the whole fixed-layout key.
@@ -664,7 +641,7 @@ mod tests {
             DataType::Str,
             &rows.iter().map(|r| r[1].clone()).collect::<Vec<_>>(),
         );
-        let mut st = HashStats::default();
+        let mut st = ExecStats::default();
         let ek = encode_keys(&[c0, c1], rows.len(), NullKeys::Match, &mut st).unwrap();
         for i in 0..rows.len() {
             for j in 0..rows.len() {
@@ -700,7 +677,7 @@ mod tests {
                 &rows.iter().map(|r| r[2].clone()).collect::<Vec<_>>(),
             ),
         ];
-        let mut st = HashStats::default();
+        let mut st = ExecStats::default();
         let ek = encode_keys(&cols, rows.len(), NullKeys::Match, &mut st).unwrap();
         let mut buf = Vec::new();
         for (i, row) in rows.iter().enumerate() {
@@ -716,7 +693,7 @@ mod tests {
             DataType::Int,
             &[Value::Int(10), Value::Int(20), Value::Int(30)],
         );
-        let mut st = HashStats::default();
+        let mut st = ExecStats::default();
         let ek = encode_keys(&[c.slice(1, 2)], 2, NullKeys::Match, &mut st).unwrap();
         let mut buf = Vec::new();
         assert_eq!(encode_value_row(&[Value::Int(20)], &mut buf), ek.hash(0));
@@ -727,7 +704,7 @@ mod tests {
     #[test]
     fn null_policy_never_marks_rows_non_joinable() {
         let c = col(DataType::Int, &[Value::Int(1), Value::Null]);
-        let mut st = HashStats::default();
+        let mut st = ExecStats::default();
         let ek = encode_keys(std::slice::from_ref(&c), 2, NullKeys::Never, &mut st).unwrap();
         assert!(ek.is_joinable(0));
         assert!(!ek.is_joinable(1));
@@ -737,7 +714,7 @@ mod tests {
 
     #[test]
     fn zero_key_columns_form_one_group() {
-        let mut st = HashStats::default();
+        let mut st = ExecStats::default();
         let ek = encode_keys(&[], 3, NullKeys::Match, &mut st).unwrap();
         assert_eq!(ek.rows(), 3);
         assert_eq!(ek.key(0), ek.key(2));
@@ -750,7 +727,7 @@ mod tests {
         for &n in &[16usize, 64, 256, 1024] {
             let vals: Vec<Value> = (0..n as i64).map(Value::Int).collect();
             let dbls: Vec<Value> = (0..n).map(|i| Value::Double(i as f64)).collect();
-            let mut st = HashStats::default();
+            let mut st = ExecStats::default();
             let ek = encode_keys(
                 &[col(DataType::Int, &vals), col(DataType::Double, &dbls)],
                 n,
@@ -769,7 +746,7 @@ mod tests {
     #[test]
     fn table_insert_get_roundtrip_counts_memcmps() {
         let mut t = RawKeyTable::with_capacity(4);
-        let mut st = HashStats::default();
+        let mut st = ExecStats::default();
         let (s0, fresh0) = t.insert(hash_value(&Value::Int(1)), b"k1", &mut st);
         let (s1, fresh1) = t.insert(hash_value(&Value::Int(2)), b"k2", &mut st);
         assert!(fresh0 && fresh1);
@@ -789,7 +766,7 @@ mod tests {
     fn equal_hash_distinct_keys_disambiguate_by_memcmp() {
         // Fabricate a full 64-bit collision: distinct keys, same hash.
         let mut t = RawKeyTable::with_capacity(4);
-        let mut st = HashStats::default();
+        let mut st = ExecStats::default();
         let (a, fa) = t.insert(42, b"alpha", &mut st);
         let (b, fb) = t.insert(42, b"beta", &mut st);
         assert!(fa && fb);
@@ -807,7 +784,7 @@ mod tests {
     #[test]
     fn table_growth_preserves_entries_and_counters() {
         let mut t = RawKeyTable::with_capacity(0);
-        let mut st = HashStats::default();
+        let mut st = ExecStats::default();
         let keys: Vec<Vec<u8>> = (0..1000i64).map(|i| i.to_le_bytes().to_vec()).collect();
         // Only 13 distinct hashes for 1000 keys ⇒ heavy deliberate
         // collisions; every key must still be found after multiple growths.

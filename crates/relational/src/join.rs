@@ -8,8 +8,9 @@
 use crate::batch::Batch;
 use crate::column::Column;
 use crate::error::{Error, Result};
+use crate::exec::ExecStats;
 use crate::expr::Expr;
-use crate::hash::{encode_keys, EncodedKeys, HashStats, NullKeys, RawKeyTable};
+use crate::hash::{encode_keys, EncodedKeys, NullKeys, RawKeyTable};
 use crate::physical::QueryBudget;
 use crate::value::Value;
 use std::collections::HashMap;
@@ -57,15 +58,6 @@ fn key_rows(batch: &Batch, keys: &[Expr]) -> Result<Vec<Option<Vec<Value>>>> {
     Ok(out)
 }
 
-/// Work performed by one hash join: probe count (the historical counter)
-/// plus the hash-kernel counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct JoinWork {
-    /// One per left row, NULL-keyed rows included.
-    pub probes: u64,
-    pub hash: HashStats,
-}
-
 /// Hash join two batches on equi-key expressions.
 ///
 /// The hash table is always built on the right input (the caller puts the
@@ -91,7 +83,7 @@ pub fn hash_join(
         &QueryBudget::unlimited(),
         false,
     )?;
-    Ok((batch, work.probes))
+    Ok((batch, work.join_probes))
 }
 
 /// [`hash_join`] with a cooperative budget (checked every
@@ -99,7 +91,8 @@ pub fn hash_join(
 /// an explicit path selector: `rowwise` runs the retained
 /// `HashMap<Vec<Value>, _>` oracle the property suite compares against,
 /// otherwise build and probe run on the vectorized kernels of
-/// [`crate::hash`].
+/// [`crate::hash`]. The returned work counts one `join_probes` per left
+/// row, NULL-keyed rows included, plus the hash-kernel counters.
 pub fn hash_join_with(
     left: &Batch,
     right: &Batch,
@@ -108,7 +101,7 @@ pub fn hash_join_with(
     join_type: JoinType,
     budget: &QueryBudget,
     rowwise: bool,
-) -> Result<(Batch, JoinWork)> {
+) -> Result<(Batch, ExecStats)> {
     if left_keys.len() != right_keys.len() || left_keys.is_empty() {
         return Err(Error::Plan(format!(
             "join requires matching non-empty key lists, got {} and {}",
@@ -142,15 +135,15 @@ fn hash_join_vectorized(
     right_keys: &[Expr],
     join_type: JoinType,
     budget: &QueryBudget,
-) -> Result<(Batch, JoinWork)> {
+) -> Result<(Batch, ExecStats)> {
     let rcols: Vec<Column> = right_keys
         .iter()
         .map(|k| k.evaluate(right))
         .collect::<Result<_>>()?;
-    let mut hash = HashStats::default();
-    let build = JoinBuild::build(&rcols, right.num_rows(), budget, &mut hash)?;
+    let mut build_work = ExecStats::default();
+    let build = JoinBuild::build(&rcols, right.num_rows(), budget, &mut build_work)?;
     let (batch, mut work) = probe_join(left, right, left_keys, &build, join_type, budget)?;
-    work.hash.merge(&hash);
+    work.add(&build_work);
     Ok((batch, work))
 }
 
@@ -174,7 +167,7 @@ impl JoinBuild {
         keys: &[Column],
         rows: usize,
         budget: &QueryBudget,
-        hash: &mut HashStats,
+        hash: &mut ExecStats,
     ) -> Result<JoinBuild> {
         const NO_SLOT: u32 = u32::MAX;
         let rkeys = encode_keys(keys, rows, NullKeys::Never, hash)?;
@@ -217,7 +210,7 @@ impl JoinBuild {
 
     /// The build rows whose key equals probe row `i` of `keys`: hash-first
     /// lookup, memcmp only on a hash match.
-    fn matches(&self, keys: &EncodedKeys, i: usize, hash: &mut HashStats) -> &[u32] {
+    fn matches(&self, keys: &EncodedKeys, i: usize, hash: &mut ExecStats) -> &[u32] {
         if !keys.is_joinable(i) {
             return &[];
         }
@@ -240,21 +233,21 @@ pub(crate) fn probe_join(
     build: &JoinBuild,
     join_type: JoinType,
     budget: &QueryBudget,
-) -> Result<(Batch, JoinWork)> {
-    let mut hash = HashStats::default();
+) -> Result<(Batch, ExecStats)> {
+    let mut work = ExecStats::default();
     let lcols: Vec<Column> = left_keys
         .iter()
         .map(|k| k.evaluate(left))
         .collect::<Result<_>>()?;
     let ln = left.num_rows();
-    let lkeys = encode_keys(&lcols, ln, NullKeys::Never, &mut hash)?;
+    let lkeys = encode_keys(&lcols, ln, NullKeys::Never, &mut work)?;
     let mut li = Vec::new();
     let mut ri = Vec::new();
     for i in 0..ln {
         if i % BUDGET_CHECK_INTERVAL == 0 {
             budget.check()?;
         }
-        let matches = build.matches(&lkeys, i, &mut hash);
+        let matches = build.matches(&lkeys, i, &mut work);
         match join_type {
             JoinType::Inner => {
                 for &m in matches {
@@ -270,10 +263,7 @@ pub(crate) fn probe_join(
         JoinType::Inner => emit_inner(left, right, &li, &ri)?,
         JoinType::LeftSemi => left.take(&li),
     };
-    let work = JoinWork {
-        probes: ln as u64,
-        hash,
-    };
+    work.join_probes += ln as u64;
     Ok((batch, work))
 }
 
@@ -286,7 +276,7 @@ fn hash_join_rowwise(
     right_keys: &[Expr],
     join_type: JoinType,
     budget: &QueryBudget,
-) -> Result<(Batch, JoinWork)> {
+) -> Result<(Batch, ExecStats)> {
     let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
     for (i, key) in key_rows(right, right_keys)?.into_iter().enumerate() {
         if i % BUDGET_CHECK_INTERVAL == 0 {
@@ -299,9 +289,9 @@ fn hash_join_rowwise(
 
     let left_keys_eval = key_rows(left, left_keys)?;
     let mut probes: u64 = 0;
-    let work = |probes| JoinWork {
-        probes,
-        hash: HashStats::default(),
+    let work = |join_probes| ExecStats {
+        join_probes,
+        ..ExecStats::default()
     };
     match join_type {
         JoinType::Inner => {
@@ -519,8 +509,8 @@ mod tests {
                 for i in 0..vb.num_rows() {
                     assert_eq!(vb.row(i), ob.row(i), "{jt} row {i}");
                 }
-                assert_eq!(vw.probes, ow.probes, "{jt} probes");
-                assert!(vw.hash.hash_ops > 0);
+                assert_eq!(vw.join_probes, ow.join_probes, "{jt} probes");
+                assert!(vw.hash_ops > 0);
             }
         }
     }

@@ -82,18 +82,17 @@ pub mod prelude {
     pub use crate::exec::{ExecStats, Executor};
     pub use crate::explain::{logical_to_json, physical_to_json};
     pub use crate::expr::{conjoin, disjoin, split_conjuncts, BinaryOp, ColumnRef, Expr};
-    pub use crate::hash::{encode_keys, EncodedKeys, HashStats, NullKeys, RawKeyTable};
+    pub use crate::hash::{encode_keys, EncodedKeys, NullKeys, RawKeyTable};
     pub use crate::join::JoinType;
     pub use crate::optimizer::{optimize, optimize_default, OptimizerConfig};
     pub use crate::persist::{decode_segment_file, encode_segment_file, ValueWire};
     pub use crate::physical::{
-        display_physical, lower, DeterministicMetrics, ExecContext, ExecOptions, MetricsCollector,
-        OperatorMetrics, PhysicalOperator, QueryBudget,
+        display_physical, lower, ExecContext, ExecOptions, MetricsCollector, OperatorMetrics,
+        PhysicalOperator, QueryBudget,
     };
     pub use crate::plan::{ordering_satisfies, window_sort_keys, LogicalPlan};
     pub use crate::scatter::{
-        gather, sharding_spec_for, split_scatter, GatherOutcome, GatherStep, ScatterPlan,
-        ShardingSpec,
+        gather, sharding_spec_for, split_scatter, GatherStep, ScatterPlan, ShardingSpec,
     };
     pub use crate::schema::{Field, Schema, SchemaRef};
     pub use crate::sort::SortKey;

@@ -5,7 +5,6 @@ use crate::agg::{hash_aggregate_with, AggExpr};
 use crate::batch::Batch;
 use crate::error::Result;
 use crate::expr::Expr;
-use crate::hash::HashStats;
 
 #[derive(Debug)]
 pub struct PhysicalAggregate {
@@ -30,18 +29,12 @@ impl PhysicalOperator for PhysicalAggregate {
 
     fn execute_op(&self, ctx: &mut ExecContext<'_>) -> Result<Batch> {
         let b = self.input.execute(ctx)?;
-        // Each input row is hashed into a group once.
-        ctx.metrics.add_comparisons(b.num_rows() as u64);
-        let mut hash = HashStats::default();
-        let out = hash_aggregate_with(
+        hash_aggregate_with(
             &b,
             &self.group_by,
             &self.aggs,
             ctx.options.rowwise_hash,
-            &mut hash,
-        )?;
-        ctx.stats.add_hash(&hash);
-        ctx.metrics.add_hash(&hash);
-        Ok(out)
+            &mut ctx.stats,
+        )
     }
 }

@@ -26,8 +26,6 @@ impl PhysicalOperator for PhysicalFilter {
 
     fn execute_op(&self, ctx: &mut ExecContext<'_>) -> Result<Batch> {
         let b = self.input.execute(ctx)?;
-        // One predicate evaluation per input row.
-        ctx.metrics.add_comparisons(b.num_rows() as u64);
         let keep = self.predicate.filter_indices(&b)?;
         Ok(b.take(&keep))
     }

@@ -81,10 +81,7 @@ impl PhysicalOperator for PhysicalHashJoin {
                 ctx.options.rowwise_hash,
             )?,
         };
-        ctx.stats.join_probes += work.probes;
-        ctx.stats.add_hash(&work.hash);
-        ctx.metrics.add_comparisons(work.probes);
-        ctx.metrics.add_hash(&work.hash);
+        ctx.stats.add(&work);
         Ok(out)
     }
 }
@@ -237,7 +234,7 @@ mod tests {
         )
         .unwrap()
         .1;
-        assert_eq!(ctx.stats.hash_ops, per_query.hash.hash_ops);
+        assert_eq!(ctx.stats.hash_ops, per_query.hash_ops);
         assert!(ctx.stats.hash_ops > expected.stats.hash_ops);
         let metrics = ctx.metrics.finish().unwrap();
         assert!(!join_label(&metrics).contains("(table)"));

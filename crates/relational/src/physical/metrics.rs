@@ -6,12 +6,13 @@
 //! work it did. Two kinds of quantities live side by side and must never be
 //! conflated:
 //!
-//! * **deterministic counters** — rows in/out, comparisons (the operator's
-//!   elementary work unit: rows fetched, predicate evaluations, sort rows,
-//!   join probes, window accumulator ops), and window partition counts. These
-//!   are pure functions of plan + data: identical at any
+//! * **deterministic counters** — rows in/out and the node's own share of
+//!   the registry counters ([`ExecStats`]). These are pure functions of
+//!   plan + data: identical at any
 //!   [`ExecOptions::parallelism`](super::ExecOptions), and the quantities
-//!   the CI perf-regression gate diffs;
+//!   the CI perf-regression gate diffs. Operators record work once, into
+//!   `ctx.stats`; the collector attributes it to the frame it happened in,
+//!   so the node counters summed over the tree equal the query's totals;
 //! * **timing** — inclusive wall-clock nanoseconds per operator (children
 //!   included, as in PostgreSQL's `EXPLAIN ANALYZE`). Every operator runs
 //!   its children to completion inside its own frame, so an operator's
@@ -19,16 +20,16 @@
 //!   Reported, never gated and never part of equality: timings change run
 //!   to run.
 //!
-//! [`OperatorMetrics::deterministic`] projects a node tree onto only the
-//! former, which is what tests compare across parallelism levels.
+//! [`OperatorMetrics::deterministic`] zeroes the latter, which is what tests
+//! compare across parallelism levels.
 
-use crate::hash::HashStats;
+use crate::exec::ExecStats;
 use dc_json::Json;
 use std::fmt::Write as _;
 
 /// Metrics for one executed physical operator, with children mirroring the
 /// operator tree.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OperatorMetrics {
     /// Operator name, e.g. `"WindowExec"`.
     pub name: String,
@@ -40,73 +41,25 @@ pub struct OperatorMetrics {
     pub rows_in: u64,
     /// Rows produced by this operator.
     pub rows_out: u64,
-    /// Elementary work units: rows fetched for scans, predicate evaluations
-    /// for filters, comparisons performed for sorts, probes for joins,
-    /// accumulator ops for windows, input rows for aggregations.
-    pub comparisons: u64,
-    /// Window partitions evaluated (0 for non-window operators).
-    pub partitions: u64,
-    /// Segments considered by zone-map pruning (0 for non-scan operators
-    /// and unfiltered scans).
-    pub segments_total: u64,
-    /// Segments skipped by zone-map pruning.
-    pub segments_pruned: u64,
-    /// Segments that survived pruning.
-    pub segments_scanned: u64,
-    /// Per-value hash computations by the vectorized hash kernels (rows ×
-    /// key columns for joins, aggregation, and DISTINCT). 0 for operators
-    /// that never hash.
-    pub hash_ops: u64,
-    /// Full 64-bit hash matches whose normalized keys compared unequal.
-    pub hash_collisions: u64,
-    /// Normalized-key memcmps on candidate (hash-equal) table entries.
-    pub probe_memcmps: u64,
-    /// Bytes written into normalized-key arenas.
-    pub key_bytes_encoded: u64,
+    /// The work this node did itself, its children's excluded.
+    pub stats: ExecStats,
     /// Inclusive wall-clock (children included). Timing, not a counter:
-    /// excluded from [`OperatorMetrics::deterministic`].
+    /// zeroed by [`OperatorMetrics::deterministic`].
     pub wall_nanos: u64,
     pub children: Vec<OperatorMetrics>,
 }
 
-/// The deterministic projection of an [`OperatorMetrics`] tree: everything
-/// except timing. Two executions of the same plan over the same data must
-/// produce equal `DeterministicMetrics` at any parallelism.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeterministicMetrics {
-    pub name: String,
-    pub label: String,
-    pub rows_in: u64,
-    pub rows_out: u64,
-    pub comparisons: u64,
-    pub partitions: u64,
-    pub segments_total: u64,
-    pub segments_pruned: u64,
-    pub segments_scanned: u64,
-    pub hash_ops: u64,
-    pub hash_collisions: u64,
-    pub probe_memcmps: u64,
-    pub key_bytes_encoded: u64,
-    pub children: Vec<DeterministicMetrics>,
-}
-
 impl OperatorMetrics {
-    /// Strip timing, keeping only the deterministic counters.
-    pub fn deterministic(&self) -> DeterministicMetrics {
-        DeterministicMetrics {
+    /// The tree with every timing zeroed: two executions of the same plan
+    /// over the same data give equal results at any parallelism.
+    pub fn deterministic(&self) -> OperatorMetrics {
+        OperatorMetrics {
             name: self.name.clone(),
             label: self.label.clone(),
             rows_in: self.rows_in,
             rows_out: self.rows_out,
-            comparisons: self.comparisons,
-            partitions: self.partitions,
-            segments_total: self.segments_total,
-            segments_pruned: self.segments_pruned,
-            segments_scanned: self.segments_scanned,
-            hash_ops: self.hash_ops,
-            hash_collisions: self.hash_collisions,
-            probe_memcmps: self.probe_memcmps,
-            key_bytes_encoded: self.key_bytes_encoded,
+            stats: self.stats,
+            wall_nanos: 0,
             children: self.children.iter().map(Self::deterministic).collect(),
         }
     }
@@ -126,15 +79,7 @@ impl OperatorMetrics {
         }
         self.rows_in += other.rows_in;
         self.rows_out += other.rows_out;
-        self.comparisons += other.comparisons;
-        self.partitions += other.partitions;
-        self.segments_total += other.segments_total;
-        self.segments_pruned += other.segments_pruned;
-        self.segments_scanned += other.segments_scanned;
-        self.hash_ops += other.hash_ops;
-        self.hash_collisions += other.hash_collisions;
-        self.probe_memcmps += other.probe_memcmps;
-        self.key_bytes_encoded += other.key_bytes_encoded;
+        self.stats.add(&other.stats);
         self.wall_nanos += other.wall_nanos;
         self.children
             .iter_mut()
@@ -142,14 +87,13 @@ impl OperatorMetrics {
             .all(|(a, b)| a.merge_same_shape(b))
     }
 
-    /// Total comparisons across the whole tree.
-    pub fn total_comparisons(&self) -> u64 {
-        self.comparisons
-            + self
-                .children
-                .iter()
-                .map(Self::total_comparisons)
-                .sum::<u64>()
+    /// The node counters summed over the whole tree.
+    pub fn total_stats(&self) -> ExecStats {
+        let mut total = self.stats;
+        for c in &self.children {
+            total.add(&c.total_stats());
+        }
+        total
     }
 
     /// Number of operator nodes in the tree.
@@ -157,35 +101,21 @@ impl OperatorMetrics {
         1 + self.children.iter().map(Self::node_count).sum::<usize>()
     }
 
-    /// Indented `EXPLAIN ANALYZE` rendering. With `with_timing` the inclusive
-    /// per-operator wall-clock is appended to every line.
+    /// Indented `EXPLAIN ANALYZE` rendering: rows in/out, then every
+    /// nonzero node counter. With `with_timing` the inclusive per-operator
+    /// wall-clock is appended to every line.
     pub fn render_text(&self, with_timing: bool) -> String {
         fn walk(m: &OperatorMetrics, depth: usize, with_timing: bool, out: &mut String) {
             let _ = write!(
                 out,
-                "{}{} (rows_in={} rows_out={} comparisons={}",
+                "{}{} (rows_in={} rows_out={}",
                 "  ".repeat(depth),
                 m.label,
                 m.rows_in,
-                m.rows_out,
-                m.comparisons
+                m.rows_out
             );
-            if m.partitions > 0 {
-                let _ = write!(out, " partitions={}", m.partitions);
-            }
-            if m.segments_total > 0 {
-                let _ = write!(
-                    out,
-                    " segments_total={} segments_pruned={} segments_scanned={}",
-                    m.segments_total, m.segments_pruned, m.segments_scanned
-                );
-            }
-            if m.hash_ops > 0 {
-                let _ = write!(
-                    out,
-                    " hash_ops={} hash_collisions={} probe_memcmps={} key_bytes={}",
-                    m.hash_ops, m.hash_collisions, m.probe_memcmps, m.key_bytes_encoded
-                );
+            for (name, v) in m.stats.iter().filter(|&(_, v)| v > 0) {
+                let _ = write!(out, " {name}={v}");
             }
             if with_timing {
                 let _ = write!(out, " time={:.3}ms", m.wall_nanos as f64 / 1e6);
@@ -200,23 +130,18 @@ impl OperatorMetrics {
         out
     }
 
-    /// Machine-readable tree. Timing is emitted under the `time_ms` key only
-    /// when requested so deterministic snapshots stay byte-stable.
+    /// Machine-readable tree carrying every node counter. Timing is emitted
+    /// under the `time_ms` key only when requested so deterministic
+    /// snapshots stay byte-stable.
     pub fn to_json(&self, with_timing: bool) -> Json {
         let mut obj = Json::obj()
             .set("operator", self.name.as_str())
             .set("label", self.label.as_str())
             .set("rows_in", self.rows_in)
-            .set("rows_out", self.rows_out)
-            .set("comparisons", self.comparisons)
-            .set("partitions", self.partitions)
-            .set("segments_total", self.segments_total)
-            .set("segments_pruned", self.segments_pruned)
-            .set("segments_scanned", self.segments_scanned)
-            .set("hash_ops", self.hash_ops)
-            .set("hash_collisions", self.hash_collisions)
-            .set("probe_memcmps", self.probe_memcmps)
-            .set("key_bytes_encoded", self.key_bytes_encoded);
+            .set("rows_out", self.rows_out);
+        for (name, v) in self.stats.iter() {
+            obj = obj.set(name, v);
+        }
         if with_timing {
             obj = obj.set("time_ms", Json::Num(self.wall_nanos as f64 / 1e6));
         }
@@ -240,24 +165,22 @@ struct PendingNode {
     /// Explicitly recorded input rows (scans); defaults to the sum of the
     /// children's `rows_out` when absent.
     rows_in: Option<u64>,
-    comparisons: u64,
-    partitions: u64,
-    segments_total: u64,
-    segments_pruned: u64,
-    segments_scanned: u64,
-    hash: HashStats,
+    /// Work counted while this frame was the innermost one.
+    stats: ExecStats,
     children: Vec<OperatorMetrics>,
 }
 
 /// Builds the [`OperatorMetrics`] tree as operators execute. The
 /// instrumented [`PhysicalOperator::execute`](super::PhysicalOperator::execute)
-/// wrapper drives `enter`/`exit`; operator bodies record their own work
-/// through the `add_*` methods, which always target the innermost frame —
-/// the operator currently executing.
+/// wrapper drives `enter`/`exit` with the execution's running counters;
+/// whatever they grew by while a frame was the innermost one is that
+/// operator's own work.
 #[derive(Debug, Default)]
 pub struct MetricsCollector {
     stack: Vec<PendingNode>,
     root: Option<OperatorMetrics>,
+    /// The running counters when the innermost frame last took over.
+    mark: ExecStats,
 }
 
 impl MetricsCollector {
@@ -265,25 +188,34 @@ impl MetricsCollector {
         MetricsCollector::default()
     }
 
-    /// Open a frame for an operator about to execute.
-    pub fn enter(&mut self, name: &'static str, label: String) {
+    /// Charge the counters' growth since the last mark to the innermost
+    /// frame.
+    fn charge(&mut self, now: &ExecStats) {
+        let mut delta = *now;
+        delta.sub(&self.mark);
+        if let Some(top) = self.stack.last_mut() {
+            top.stats.add(&delta);
+        }
+        self.mark = *now;
+    }
+
+    /// Open a frame for an operator about to execute; `now` is the
+    /// execution's running counters.
+    pub fn enter(&mut self, name: &'static str, label: String, now: &ExecStats) {
+        self.charge(now);
         self.stack.push(PendingNode {
             name,
             label,
             rows_in: None,
-            comparisons: 0,
-            partitions: 0,
-            segments_total: 0,
-            segments_pruned: 0,
-            segments_scanned: 0,
-            hash: HashStats::default(),
+            stats: ExecStats::default(),
             children: Vec::new(),
         });
     }
 
     /// Close the innermost frame, attaching it to its parent (or making it
     /// the root). `rows_out` is 0 when the operator failed.
-    pub fn exit(&mut self, rows_out: u64, wall_nanos: u64) {
+    pub fn exit(&mut self, rows_out: u64, wall_nanos: u64, now: &ExecStats) {
+        self.charge(now);
         let Some(node) = self.stack.pop() else {
             debug_assert!(false, "MetricsCollector::exit without matching enter");
             return;
@@ -296,15 +228,7 @@ impl MetricsCollector {
             label: node.label,
             rows_in,
             rows_out,
-            comparisons: node.comparisons,
-            partitions: node.partitions,
-            segments_total: node.segments_total,
-            segments_pruned: node.segments_pruned,
-            segments_scanned: node.segments_scanned,
-            hash_ops: node.hash.hash_ops,
-            hash_collisions: node.hash.hash_collisions,
-            probe_memcmps: node.hash.probe_memcmps,
-            key_bytes_encoded: node.hash.key_bytes_encoded,
+            stats: node.stats,
             wall_nanos,
             children: node.children,
         };
@@ -322,42 +246,11 @@ impl MetricsCollector {
         }
     }
 
-    /// Record elementary work units against the operator currently executing.
-    pub fn add_comparisons(&mut self, n: u64) {
-        if let Some(top) = self.stack.last_mut() {
-            top.comparisons += n;
-        }
-    }
-
-    /// Record hash-kernel work against the operator currently executing.
-    pub fn add_hash(&mut self, h: &HashStats) {
-        if let Some(top) = self.stack.last_mut() {
-            top.hash.merge(h);
-        }
-    }
-
-    /// Record window partitions against the operator currently executing.
-    pub fn add_partitions(&mut self, n: u64) {
-        if let Some(top) = self.stack.last_mut() {
-            top.partitions += n;
-        }
-    }
-
     /// Record the rows a leaf operator fetched itself (overrides the
     /// children-sum default for `rows_in`).
     pub fn set_rows_in(&mut self, n: u64) {
         if let Some(top) = self.stack.last_mut() {
             top.rows_in = Some(n);
-        }
-    }
-
-    /// Record a zone-map pruning decision against the operator currently
-    /// executing (scans only).
-    pub fn add_segments(&mut self, total: u64, pruned: u64, scanned: u64) {
-        if let Some(top) = self.stack.last_mut() {
-            top.segments_total += total;
-            top.segments_pruned += pruned;
-            top.segments_scanned += scanned;
         }
     }
 
@@ -373,13 +266,14 @@ mod tests {
 
     fn sample() -> OperatorMetrics {
         let mut c = MetricsCollector::new();
-        c.enter("FilterExec", "FilterExec: x > 1".into());
-        c.enter("ScanExec", "ScanExec: r".into());
+        let mut now = ExecStats::default();
+        c.enter("FilterExec", "FilterExec: x > 1".into(), &now);
+        c.enter("ScanExec", "ScanExec: r".into(), &now);
         c.set_rows_in(100);
-        c.add_comparisons(100);
-        c.exit(40, 1_000_000);
-        c.add_comparisons(40);
-        c.exit(7, 3_000_000);
+        now.rows_scanned += 100;
+        now.full_scans += 1;
+        c.exit(40, 1_000_000, &now);
+        c.exit(7, 3_000_000, &now);
         c.finish().unwrap()
     }
 
@@ -393,8 +287,38 @@ mod tests {
         assert_eq!(m.rows_out, 7);
         // Scan's rows_in was set explicitly (pre-residual fetch).
         assert_eq!(m.children[0].rows_in, 100);
-        assert_eq!(m.total_comparisons(), 140);
+        assert_eq!(m.children[0].stats.rows_scanned, 100);
+        assert_eq!(m.stats, ExecStats::default());
+        assert_eq!(m.total_stats().rows_scanned, 100);
         assert_eq!(m.node_count(), 2);
+    }
+
+    #[test]
+    fn node_counters_exclude_children() {
+        // A join hashes its build side, runs its child, then probes: both
+        // stretches are its own work, the child's scan is not.
+        let mut c = MetricsCollector::new();
+        let mut now = ExecStats {
+            rows_scanned: 5, // before the query: charged to no node
+            ..ExecStats::default()
+        };
+        c.enter("HashJoinExec", "HashJoinExec".into(), &now);
+        now.hash_ops += 3;
+        c.enter("ScanExec", "ScanExec".into(), &now);
+        now.rows_scanned += 10;
+        c.exit(10, 1, &now);
+        now.hash_ops += 10;
+        now.join_probes += 10;
+        c.exit(4, 2, &now);
+        let m = c.finish().unwrap();
+        assert_eq!(m.stats.hash_ops, 13);
+        assert_eq!(m.stats.join_probes, 10);
+        assert_eq!(m.stats.rows_scanned, 0);
+        assert_eq!(m.children[0].stats.rows_scanned, 10);
+        assert_eq!(m.children[0].stats.hash_ops, 0);
+        let mut query = now;
+        query.rows_scanned -= 5;
+        assert_eq!(m.total_stats(), query);
     }
 
     #[test]
@@ -411,8 +335,10 @@ mod tests {
     fn render_and_json() {
         let m = sample();
         let text = m.render_text(false);
-        assert!(text.contains("FilterExec: x > 1 (rows_in=40 rows_out=7 comparisons=40)"));
-        assert!(text.contains("  ScanExec: r (rows_in=100"));
+        assert!(text.contains("FilterExec: x > 1 (rows_in=40 rows_out=7)"));
+        assert!(
+            text.contains("  ScanExec: r (rows_in=100 rows_out=40 rows_scanned=100 full_scans=1)")
+        );
         assert!(!text.contains("time="));
         assert!(m.render_text(true).contains("time="));
 
@@ -421,19 +347,22 @@ mod tests {
         assert_eq!(j.get("rows_out").and_then(Json::as_u64), Some(7));
         assert!(j.get("time_ms").is_none());
         let child = &j.get("children").and_then(Json::as_arr).unwrap()[0];
-        assert_eq!(child.get("comparisons").and_then(Json::as_u64), Some(100));
+        assert_eq!(child.get("rows_scanned").and_then(Json::as_u64), Some(100));
         assert!(m.to_json(true).get("time_ms").is_some());
     }
 
     #[test]
     fn segment_counters_render_only_when_present() {
         let mut c = MetricsCollector::new();
-        c.enter("ScanExec", "ScanExec: caser".into());
-        c.add_segments(8, 6, 2);
-        c.exit(10, 100);
+        let mut now = ExecStats::default();
+        c.enter("ScanExec", "ScanExec: caser".into(), &now);
+        now.segments_total += 8;
+        now.segments_pruned += 6;
+        now.segments_scanned += 2;
+        c.exit(10, 100, &now);
         let m = c.finish().unwrap();
-        assert_eq!(m.segments_total, 8);
-        assert_eq!(m.deterministic().segments_pruned, 6);
+        assert_eq!(m.stats.segments_total, 8);
+        assert_eq!(m.deterministic().stats.segments_pruned, 6);
         let text = m.render_text(false);
         assert!(text.contains("segments_total=8 segments_pruned=6 segments_scanned=2"));
         assert_eq!(
@@ -450,10 +379,11 @@ mod tests {
     #[test]
     fn failed_subtree_still_attaches() {
         let mut c = MetricsCollector::new();
-        c.enter("FilterExec", "FilterExec".into());
-        c.enter("ScanExec", "ScanExec".into());
-        c.exit(0, 10); // failed: no rows
-        c.exit(0, 20);
+        let now = ExecStats::default();
+        c.enter("FilterExec", "FilterExec".into(), &now);
+        c.enter("ScanExec", "ScanExec".into(), &now);
+        c.exit(0, 10, &now); // failed: no rows
+        c.exit(0, 20, &now);
         let m = c.finish().unwrap();
         assert_eq!(m.children.len(), 1);
         assert_eq!(m.rows_out, 0);

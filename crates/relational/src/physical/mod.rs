@@ -47,7 +47,7 @@ pub mod union;
 pub mod window;
 
 pub use lower::lower;
-pub use metrics::{DeterministicMetrics, MetricsCollector, OperatorMetrics};
+pub use metrics::{MetricsCollector, OperatorMetrics};
 
 use crate::batch::Batch;
 use crate::error::{AbortReason, Error, Result};
@@ -228,9 +228,9 @@ impl<'a> ExecContext<'a> {
 /// Contract:
 /// * `execute_op` materializes this operator's full output, recursively
 ///   executing children (via their instrumented [`execute`]); all work is
-///   accounted in `ctx.stats` using the same counter semantics at any
-///   `ctx.options.parallelism`, and node-local work (comparisons,
-///   partitions) additionally into `ctx.metrics` against the current frame.
+///   accounted once, in `ctx.stats`, using the same counter semantics at
+///   any `ctx.options.parallelism`; the metrics collector attributes it to
+///   the operator whose frame it happened in.
 /// * Operators perform no plan-level decisions at runtime — what to do
 ///   (index bounds, sort placement, projections) was fixed by `lower()`;
 ///   only data-dependent choices (e.g. *which* candidate index bound is
@@ -266,12 +266,12 @@ pub trait PhysicalOperator: std::fmt::Debug {
     /// always go through this; operators implement `execute_op`.
     fn execute(&self, ctx: &mut ExecContext<'_>) -> Result<Batch> {
         ctx.budget.check()?;
-        ctx.metrics.enter(self.name(), self.label());
+        ctx.metrics.enter(self.name(), self.label(), &ctx.stats);
         let start = Instant::now();
         let result = self.execute_op(ctx);
         let nanos = start.elapsed().as_nanos() as u64;
         let rows_out = result.as_ref().map(|b| b.num_rows() as u64).unwrap_or(0);
-        ctx.metrics.exit(rows_out, nanos);
+        ctx.metrics.exit(rows_out, nanos, &ctx.stats);
         ctx.rows_emitted += rows_out;
         if result.is_ok() {
             ctx.budget.check_rows(ctx.rows_emitted)?;

@@ -33,8 +33,6 @@ impl PhysicalOperator for PhysicalProject {
 
     fn execute_op(&self, ctx: &mut ExecContext<'_>) -> Result<Batch> {
         let b = self.input.execute(ctx)?;
-        // One expression-evaluation pass per input row.
-        ctx.metrics.add_comparisons(b.num_rows() as u64);
         let mut cols = Vec::with_capacity(self.exprs.len());
         let mut fields = Vec::with_capacity(self.exprs.len());
         for (e, alias) in &self.exprs {

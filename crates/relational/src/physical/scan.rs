@@ -76,7 +76,6 @@ impl PhysicalOperator for PhysicalScan {
             ctx.stats.rows_scanned += t.num_rows() as u64;
             ctx.stats.full_scans += 1;
             ctx.metrics.set_rows_in(t.num_rows() as u64);
-            ctx.metrics.add_comparisons(t.num_rows() as u64);
             return t.data().clone().with_schema(out_schema);
         };
 
@@ -93,7 +92,6 @@ impl PhysicalOperator for PhysicalScan {
             ctx.stats.segments_total += total_segs as u64;
             ctx.stats.segments_pruned += pruned;
             ctx.stats.segments_scanned += scanned;
-            ctx.metrics.add_segments(total_segs as u64, pruned, scanned);
         }
 
         let base = match best_index_access(&t, &self.candidates) {
@@ -118,10 +116,8 @@ impl PhysicalOperator for PhysicalScan {
             }
         };
         // A scan is a leaf: rows_in is what it fetched from the table
-        // (post index narrowing, pre residual filter) — each fetched row is
-        // one unit of work.
+        // (post index narrowing, pre residual filter).
         ctx.metrics.set_rows_in(base.num_rows() as u64);
-        ctx.metrics.add_comparisons(base.num_rows() as u64);
         let base = base.with_schema(out_schema)?;
         let keep = filter.filter_indices(&base)?;
         Ok(base.take(&keep))

@@ -46,10 +46,7 @@ impl PhysicalOperator for PhysicalSemiJoin {
             &ctx.budget,
             ctx.options.rowwise_hash,
         )?;
-        ctx.stats.join_probes += work.probes;
-        ctx.stats.add_hash(&work.hash);
-        ctx.metrics.add_comparisons(work.probes);
-        ctx.metrics.add_hash(&work.hash);
+        ctx.stats.add(&work);
         Ok(out)
     }
 }

@@ -66,8 +66,7 @@ impl PhysicalOperator for PhysicalWindow {
 
         let ev = WindowEval::prepare(&b, &self.partition_by, self.order_key.as_ref(), &self.exprs)?;
         let parts: Vec<(usize, usize)> = ev.partitions().to_vec();
-        ctx.stats.partitions_executed += parts.len() as u64;
-        ctx.metrics.add_partitions(parts.len() as u64);
+        ctx.stats.partitions += parts.len() as u64;
 
         let p = ctx.options.parallelism.min(parts.len()).max(1);
         let mut work: u64 = 0;
@@ -154,7 +153,6 @@ impl PhysicalOperator for PhysicalWindow {
         }
 
         ctx.stats.window_accumulator_ops += work;
-        ctx.metrics.add_comparisons(work);
         let mut fields = b.schema().fields().to_vec();
         let mut cols: Vec<Column> = b.columns().to_vec();
         for (we, c) in self

@@ -35,8 +35,9 @@ use crate::agg::{distinct_with, AggExpr, AggFunc};
 use crate::batch::{schema_ref, Batch};
 use crate::column::{Column, ColumnBuilder};
 use crate::error::{Error, Result};
+use crate::exec::ExecStats;
 use crate::expr::Expr;
-use crate::hash::{encode_keys, HashStats, NullKeys, RawKeyTable};
+use crate::hash::{encode_keys, NullKeys, RawKeyTable};
 use crate::plan::LogicalPlan;
 use crate::schema::{Field, Schema};
 use crate::sort::{sort_batch, sort_batch_runs, SortKey};
@@ -394,25 +395,13 @@ fn split_top(plan: &LogicalPlan, spec: &ShardingSpec) -> Option<(LogicalPlan, Ve
     }
 }
 
-/// Deterministic work observed while gathering shard partials; folded into
-/// the coordinator's combined [`ExecStats`](crate::exec::ExecStats).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GatherOutcome {
-    /// Partial rows received from the shards and merged.
-    pub shard_rows_merged: u64,
-    /// Key comparisons spent by merge/sort steps.
-    pub sort_comparisons: u64,
-    /// Sorted runs consumed by the k-way merge steps.
-    pub merge_runs_used: u64,
-    /// Hash-kernel work spent merging partials (reaggregation + DISTINCT
-    /// group lookups at the coordinator).
-    pub hash: HashStats,
-}
-
-/// Execute the gather pipeline over per-shard partial batches.
+/// Execute the gather pipeline over per-shard partial batches. The
+/// returned work is what the coordinator spent: `shard_rows_merged`,
+/// `sort_comparisons` and `merge_runs_used` of its merge steps, and the
+/// hash counters of reaggregation and DISTINCT group lookups.
 ///
 /// Convenience wrapper over [`gather_with`] (vectorized hash path).
-pub fn gather(parts: &[Batch], steps: &[GatherStep]) -> Result<(Batch, GatherOutcome)> {
+pub fn gather(parts: &[Batch], steps: &[GatherStep]) -> Result<(Batch, ExecStats)> {
     gather_with(parts, steps, false)
 }
 
@@ -423,10 +412,10 @@ pub fn gather_with(
     parts: &[Batch],
     steps: &[GatherStep],
     rowwise: bool,
-) -> Result<(Batch, GatherOutcome)> {
-    let mut outcome = GatherOutcome {
+) -> Result<(Batch, ExecStats)> {
+    let mut work = ExecStats {
         shard_rows_merged: parts.iter().map(|b| b.num_rows() as u64).sum(),
-        ..GatherOutcome::default()
+        ..ExecStats::default()
     };
     // Shard boundaries double as sorted-run hints for the k-way merge.
     let mut boundaries = Vec::with_capacity(parts.len());
@@ -441,12 +430,12 @@ pub fn gather_with(
         batch = match step {
             GatherStep::MergeSorted { keys } => {
                 let (merged, effort) = sort_batch_runs(&batch, keys, hint.as_deref())?;
-                outcome.sort_comparisons += effort.comparisons;
-                outcome.merge_runs_used += effort.runs;
+                work.sort_comparisons += effort.comparisons;
+                work.merge_runs_used += effort.runs;
                 merged
             }
-            GatherStep::Reaggregate(spec) => reaggregate(&batch, spec, rowwise, &mut outcome.hash)?,
-            GatherStep::Distinct => distinct_with(&batch, rowwise, &mut outcome.hash)?,
+            GatherStep::Reaggregate(spec) => reaggregate(&batch, spec, rowwise, &mut work)?,
+            GatherStep::Distinct => distinct_with(&batch, rowwise, &mut work)?,
             GatherStep::Project { exprs } => {
                 let cols: Vec<_> = exprs
                     .iter()
@@ -476,7 +465,7 @@ pub fn gather_with(
         // shard-boundary run hint no longer applies.
         hint = None;
     }
-    Ok((batch, outcome))
+    Ok((batch, work))
 }
 
 /// Merge partial-aggregate rows: group on the leading key columns and
@@ -488,7 +477,7 @@ fn reaggregate(
     batch: &Batch,
     spec: &Reaggregate,
     rowwise: bool,
-    hash: &mut HashStats,
+    hash: &mut ExecStats,
 ) -> Result<Batch> {
     let consumed: usize = spec.merges.iter().map(|(m, _)| m.arity()).sum();
     if batch.num_columns() != spec.group_cols + consumed {

@@ -175,7 +175,8 @@ impl Rewritten {
     /// uncached (ckey, skey)-sorted cleansing output byte for byte);
     /// register the assembly as a transient table in a catalog overlay and
     /// run the tail plan over it. Work counters sum over the
-    /// sub-executions; cache counters land in the `seq_cache_*` stats.
+    /// sub-executions; cache counters land in the `cache_*` stats, charged
+    /// to the `CleanseCacheExec` root node.
     pub fn execute_cached(
         &self,
         catalog: &Catalog,
@@ -335,9 +336,13 @@ impl Rewritten {
         window_eval_nanos += ex.window_eval_nanos;
         children.extend(ex.metrics.take());
 
-        stats.seq_cache_hits += hits;
-        stats.seq_cache_misses += missed;
-        stats.seq_cache_invalidations += invalidated;
+        let own = ExecStats {
+            cache_hits: hits,
+            cache_misses: missed,
+            cache_invalidations: invalidated,
+            ..ExecStats::default()
+        };
+        stats.add(&own);
 
         let metrics = OperatorMetrics {
             name: "CleanseCacheExec".to_string(),
@@ -347,15 +352,7 @@ impl Rewritten {
             ),
             rows_in: assembled_rows,
             rows_out: batch.num_rows() as u64,
-            comparisons: 0,
-            partitions: 0,
-            segments_total: 0,
-            segments_pruned: 0,
-            segments_scanned: 0,
-            hash_ops: 0,
-            hash_collisions: 0,
-            probe_memcmps: 0,
-            key_bytes_encoded: 0,
+            stats: own,
             wall_nanos: start.elapsed().as_nanos() as u64,
             children,
         };

@@ -1135,13 +1135,13 @@ mod tests {
         let cache = CleanseCache::new(64);
         let cold = rw.execute_cached(&cat, opts(), &cache).unwrap();
         assert_eq!(all_rows(&cold.batch), all_rows(&plain.batch));
-        assert!(cold.stats.seq_cache_misses > 0);
-        assert_eq!(cold.stats.seq_cache_hits, 0);
+        assert!(cold.stats.cache_misses > 0);
+        assert_eq!(cold.stats.cache_hits, 0);
 
         let warm = rw.execute_cached(&cat, opts(), &cache).unwrap();
         assert_eq!(all_rows(&warm.batch), all_rows(&plain.batch));
-        assert!(warm.stats.seq_cache_hits > 0);
-        assert_eq!(warm.stats.seq_cache_misses, 0);
+        assert!(warm.stats.cache_hits > 0);
+        assert_eq!(warm.stats.cache_misses, 0);
 
         // Appending a read for e1 extends its covering segments: the stale
         // entry is invalidated and recomputed; other ckeys stay cached.
@@ -1158,8 +1158,19 @@ mod tests {
         .unwrap();
         cat.append("caser", extra).unwrap();
         let refreshed = rw.execute_cached(&cat, opts(), &cache).unwrap();
-        assert!(refreshed.stats.seq_cache_invalidations >= 1);
-        assert!(refreshed.stats.seq_cache_hits > 0, "unaffected ckeys hit");
+        assert!(refreshed.stats.cache_invalidations >= 1);
+        assert!(refreshed.stats.cache_hits > 0, "unaffected ckeys hit");
+
+        // The node counters add up to each run's stats, and the cache
+        // counters are the CleanseCacheExec root's own work.
+        for run in [&cold, &warm, &refreshed] {
+            let m = run.metrics.as_ref().expect("cached runs report metrics");
+            assert_eq!(m.name, "CleanseCacheExec");
+            assert_eq!(m.total_stats(), run.stats);
+            assert_eq!(m.stats.cache_hits, run.stats.cache_hits);
+            assert_eq!(m.stats.cache_misses, run.stats.cache_misses);
+            assert_eq!(m.stats.cache_invalidations, run.stats.cache_invalidations);
+        }
         let plain2 = rw.execute(&cat, opts()).unwrap();
         assert_eq!(all_rows(&refreshed.batch), all_rows(&plain2.batch));
     }

@@ -463,7 +463,7 @@ mod tests {
         let plan = optimize_default(plan, &cat);
         let mut ex = Executor::new(&cat);
         ex.execute(&plan).unwrap();
-        assert_eq!(ex.stats.sorts_performed, 1, "plan:\n{plan}");
+        assert_eq!(ex.stats.sorts, 1, "plan:\n{plan}");
         // The two rows are already in (epc, rtime) order, so the one shared
         // sort detects a single run and elides the merge entirely — an
         // elided sort still counts as performed (order sharing is about

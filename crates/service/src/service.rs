@@ -66,7 +66,7 @@ use crate::snapshot::{EpochVector, Snapshot, SnapshotCell};
 use dc_core::{AbortReason, DeferredCleansingSystem, QueryBudget, QueryReport, Strategy};
 use dc_relational::batch::Batch;
 use dc_relational::error::Error;
-use dc_relational::exec::{ExecStats, Executor};
+use dc_relational::exec::Executor;
 use dc_relational::plan::LogicalPlan;
 use dc_relational::scatter::{gather, sharding_spec_for, split_scatter, ScatterPlan, ShardingSpec};
 use dc_relational::table::{Catalog, CatalogRef};
@@ -695,18 +695,13 @@ impl Shared {
                     .map(|(i, e)| ShardObservation::of(i, &snaps[i], e))
                     .collect();
                 let shard_batches: Vec<Batch> = parts.iter().map(|e| e.batch.clone()).collect();
-                let (batch, outcome) =
+                let (batch, mut stats) =
                     gather(&shard_batches, &steps).map_err(ServiceError::from)?;
-                let mut stats = ExecStats::default();
                 let mut window_eval_nanos = 0u64;
                 for e in &parts {
                     stats.add(&e.stats);
                     window_eval_nanos += e.window_eval_nanos;
                 }
-                stats.shard_rows_merged += outcome.shard_rows_merged;
-                stats.sort_comparisons += outcome.sort_comparisons;
-                stats.merge_runs_used += outcome.merge_runs_used;
-                stats.add_hash(&outcome.hash);
                 let run = Executed {
                     batch,
                     stats,

@@ -28,7 +28,7 @@ use dc_relational::delta::{
 };
 use dc_relational::error::{Error, Result};
 use dc_relational::exec::ExecStats;
-use dc_relational::hash::{encode_value_row, HashStats, RawKeyTable};
+use dc_relational::hash::{encode_value_row, RawKeyTable};
 use dc_relational::plan::LogicalPlan;
 use dc_relational::schema::SchemaRef;
 use dc_relational::sort::SortKey;
@@ -56,7 +56,7 @@ struct GroupTable {
     accs: Vec<Vec<i128>>,
     /// Reusable normalized-key encode buffer.
     key_buf: Vec<u8>,
-    stats: HashStats,
+    stats: ExecStats,
 }
 
 impl GroupTable {
@@ -66,7 +66,7 @@ impl GroupTable {
             keys: Vec::new(),
             accs: Vec::new(),
             key_buf: Vec::new(),
-            stats: HashStats::default(),
+            stats: ExecStats::default(),
         }
     }
 
@@ -129,7 +129,7 @@ impl GroupTable {
     }
 
     /// Drain the hash work spent since the last call.
-    fn take_stats(&mut self) -> HashStats {
+    fn take_stats(&mut self) -> ExecStats {
         std::mem::take(&mut self.stats)
     }
 }
@@ -445,7 +445,7 @@ impl StandingState {
                     }
                     finals.insert(g, new_final);
                 }
-                stats.exec.add_hash(&groups.take_stats());
+                stats.exec.add(&groups.take_stats());
                 self.current = finals.values().cloned().collect();
                 stats.exec.maintenance_delta_rows +=
                     (inserted.len() + deleted.len() + 2 * updated.len()) as u64;
@@ -556,7 +556,7 @@ impl StandingState {
             let row = emit_group(spec, g, groups.acc_at(slot))?;
             finals.insert(g.clone(), row);
         }
-        total.add_hash(&groups.take_stats());
+        total.add(&groups.take_stats());
         self.current = finals.values().cloned().collect();
         Ok(total)
     }

@@ -303,7 +303,7 @@ fn hash_path_parallelism_invariant() {
     check("hash path parallelism invariance", |rng| {
         let cat = random_catalog(rng);
         let plan = random_hash_plan(rng);
-        let mut baseline: Option<(Vec<Vec<Value>>, ExecStats, Option<DeterministicMetrics>)> = None;
+        let mut baseline: Option<(Vec<Vec<Value>>, ExecStats, Option<OperatorMetrics>)> = None;
         for &p in [1].iter().chain(&PARALLELISMS) {
             let mut ex = Executor::with_options(&cat, ExecOptions::with_parallelism(p));
             let batch = ex.execute(&plan).unwrap();
@@ -322,7 +322,7 @@ fn hash_path_parallelism_invariant() {
 
 /// Whether some hash join of the run probed a table-owned build, as its
 /// metrics label reports.
-fn probed_table_build(m: &DeterministicMetrics) -> bool {
+fn probed_table_build(m: &OperatorMetrics) -> bool {
     m.label.ends_with(" (table)") || m.children.iter().any(probed_table_build)
 }
 
@@ -410,7 +410,7 @@ fn racing_first_builds_agree() {
 /// counted as a collision, and lookups still find the right entry.
 #[test]
 fn equal_hash_distinct_keys_disambiguate_by_memcmp() {
-    let mut stats = HashStats::default();
+    let mut stats = ExecStats::default();
     let mut table = RawKeyTable::with_capacity(4);
     const H: u64 = 0xdead_beef_cafe_f00d;
     let keys: Vec<Vec<u8>> = (0..32u8).map(|i| vec![i, i ^ 0x55, 7, i]).collect();

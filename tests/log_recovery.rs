@@ -502,7 +502,7 @@ fn unsharded_recovery_keeps_cleanse_cache() {
     let second = svc.execute(req).unwrap();
     assert_eq!(rows_of(&first.batch), rows_of(&second.batch));
     assert!(
-        second.report.stats.seq_cache_hits > 0,
+        second.report.stats.cache_hits > 0,
         "the repeated join-back query must hit the cache: {:?}",
         second.report.stats
     );

@@ -3,7 +3,7 @@
 //! Partition-parallel Φ_C cleansing must be *transparent*: at any
 //! parallelism the result batches are byte-identical (same rows, same
 //! order) and the merged [`ExecStats`] — including window work, sort
-//! counts, and `partitions_executed` — are equal to the serial run. This
+//! counts, and `partitions` — are equal to the serial run. This
 //! suite checks that for every repro workload and for randomly generated
 //! window plans.
 
@@ -249,7 +249,7 @@ fn random_plans_equivalent_across_parallelism() {
     check("parallel window equivalence", |rng| {
         let cat = random_catalog(rng);
         let plan = random_window_plan(rng);
-        let mut baseline: Option<(Vec<Vec<Value>>, ExecStats, Option<DeterministicMetrics>)> = None;
+        let mut baseline: Option<(Vec<Vec<Value>>, ExecStats, Option<OperatorMetrics>)> = None;
         for &p in &PARALLELISMS {
             let mut ex = Executor::with_options(&cat, ExecOptions::with_parallelism(p));
             let batch = ex.execute(&plan).unwrap();

@@ -22,6 +22,7 @@
 //! The shard and worker counts are CI-matrix knobs: `DC_TEST_SHARDS`
 //! (comma list, default `1,2,4`) and `DC_TEST_WORKERS` (default `4`).
 
+use deferred_cleansing::core::QueryReport;
 use deferred_cleansing::relational::prelude::*;
 use deferred_cleansing::rewrite::Strategy;
 use deferred_cleansing::service::{
@@ -104,12 +105,44 @@ fn rows_of(batch: &Batch) -> Vec<Vec<Value>> {
 }
 
 /// One observed reply: which query, which strategy, which epoch vector,
-/// what rows.
+/// what rows, and whether it was a scatter whose counters were summed.
 struct Observation {
     pool_idx: usize,
     strategy: Strategy,
     epochs: EpochVector,
     rows: Vec<Vec<Value>>,
+    scatter_summed: bool,
+}
+
+/// The node counters of a reply's metrics tree add up to its stats. A
+/// scatter reply's tree is the shards' trees merged; the coordinator's
+/// gather work (merged partial rows, merge comparisons and runs, hash
+/// work) is in the stats only, so those counters are left out. Returns
+/// whether a scatter tree was checked.
+fn assert_counters_add_up(report: &QueryReport) -> bool {
+    let Some(tree) = &report.metrics else {
+        return false; // shard trees of different shapes are not merged
+    };
+    let scatter = report.notes.iter().any(|n| n.contains(" gather step(s)"));
+    let gather_free = |mut s: ExecStats| {
+        if scatter {
+            s.shard_rows_merged = 0;
+            s.sort_comparisons = 0;
+            s.merge_runs_used = 0;
+            s.hash_ops = 0;
+            s.hash_collisions = 0;
+            s.probe_memcmps = 0;
+            s.key_bytes_encoded = 0;
+        }
+        s
+    };
+    assert_eq!(
+        gather_free(tree.total_stats()),
+        gather_free(report.stats),
+        "node counters vs stats: {:?}",
+        report.notes
+    );
+    scatter
 }
 
 /// The unsharded catalog equivalent to the shard snapshots at one epoch
@@ -235,6 +268,7 @@ fn run_session(shards: usize, workers: usize, seed: u64, total_rounds: usize, ap
                         strategy,
                         epochs: resp.service.epochs.clone(),
                         rows: rows_of(&resp.batch),
+                        scatter_summed: assert_counters_add_up(&resp.report),
                     });
                 }
                 observed
@@ -248,6 +282,12 @@ fn run_session(shards: usize, workers: usize, seed: u64, total_rounds: usize, ap
         .flat_map(|r| r.join().unwrap())
         .collect();
     assert!(observations.len() >= total_rounds);
+    if shards > 1 {
+        assert!(
+            observations.iter().any(|o| o.scatter_summed),
+            "no scatter reply had its counters summed"
+        );
+    }
     assert_eq!(svc.counters().appends, appends as u64);
 
     // Per-shard epochs are dense and fully recorded.
@@ -424,7 +464,7 @@ fn shard_caches_warm_and_stay_correct() {
         .sum();
     assert!(hits > 0, "warm run should hit at least one shard cache");
     // Warm replies agree with the hit counters' own run.
-    assert!(warm.report.stats.seq_cache_hits > 0);
+    assert!(warm.report.stats.cache_hits > 0);
 }
 
 /// Time-travel equivalence on a durable service: for **every** committed

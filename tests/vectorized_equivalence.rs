@@ -293,19 +293,27 @@ fn filter_indices_matches_rowwise_oracle() {
 }
 
 /// Execution is parallelism-invariant: batches, merged stats, and the
-/// deterministic per-operator metrics are identical at P ∈ {1, 2, 8}.
+/// deterministic per-operator metrics are identical at P ∈ {1, 2, 8}; and
+/// at each P the node counters summed over the metrics tree equal the
+/// run's stats.
 #[test]
 fn execution_parallelism_invariant() {
     check("parallelism invariance", |rng| {
         let cat = random_catalog(rng);
         let plan = random_plan(rng);
-        let mut baseline: Option<(Vec<Vec<Value>>, ExecStats, Option<DeterministicMetrics>)> = None;
+        let mut baseline: Option<(Vec<Vec<Value>>, ExecStats, Option<OperatorMetrics>)> = None;
         for &p in &PARALLELISMS {
             let mut ex = Executor::with_options(&cat, ExecOptions::with_parallelism(p));
             let batch = ex
                 .execute(&plan)
                 .unwrap_or_else(|e| panic!("plan failed at P={p}: {e}\n{}", plan.display_indent()));
             let metrics = ex.metrics.as_ref().map(|m| m.deterministic());
+            let tree = metrics.as_ref().expect("an executed plan has metrics");
+            assert_eq!(
+                tree.total_stats(),
+                ex.stats,
+                "node counters vs stats at P={p}"
+            );
             match &baseline {
                 None => baseline = Some((rows_of(&batch), ex.stats, metrics)),
                 Some((rows, stats, metrics1)) => {
